@@ -3,11 +3,13 @@
 Every flag mirrors a config-file key (``--window-size`` <-> ``[model]
 window_size``); precedence is flag > config file > default. All
 quantitative outputs are JSON; fold wall-clock times go to a separate
-timing.json so result files stay bit-reproducible for a fixed seed.
+timing.json so result files stay bit-reproducible for a fixed seed. eval
+also writes each scored epoch's true and predicted stage to predictions.csv.
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -31,6 +33,7 @@ from .errors import (
     ChannelNotFound,
     ConfigError,
     ContractViolation,
+    CorruptCache,
     CorruptCheckpoint,
     DegenerateSignal,
     EmptyDataset,
@@ -44,13 +47,14 @@ from .errors import (
 from .explain import export_features_csv, gradcam, render_heatmap
 from .metrics import metrics_report
 from .model import checkpoint_load
-from .training import cross_validate, evaluate, fit
+from .training import cross_validate, fit, pooled_confusion, predict_sets
 
 _DATA_ERRORS = (
     ParseError,
     AnnotationError,
     ChannelNotFound,
     EmptyDataset,
+    CorruptCache,
     CorruptCheckpoint,
     DegenerateSignal,
     InvalidInput,
@@ -261,10 +265,25 @@ def cmd_eval(args):
         raise ConfigError(
             f"cache rate {rate} Hz != checkpoint's {model_cfg.sample_rate} Hz"
         )
-    cm = evaluate(params, model_cfg, sets)
+    scored = predict_sets(params, model_cfg, sets)
+    cm = pooled_confusion(scored)
     _write_json(out_dir / "metrics.json", metrics_report(cm))
+    _write_predictions(out_dir / "predictions.csv", scored)
     print(f"evaluated {int(cm.sum())} epochs -> {out_dir / 'metrics.json'}")
     return 0
+
+
+def _write_predictions(path, scored):
+    """One row per scored epoch: the predicted hypnogram beside the true one."""
+    try:
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["subject", "epoch", "true", "predicted"])
+            for es, preds in scored:
+                for i, (label, pred) in enumerate(zip(es.labels, preds)):
+                    writer.writerow([es.subject_id, i, STAGES[label], STAGES[pred]])
+    except OSError as e:
+        raise IoError(f"cannot write predictions CSV {path}: {e}") from e
 
 
 def cmd_explain(args):

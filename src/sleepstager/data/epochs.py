@@ -13,7 +13,7 @@ from .. import EXCLUDED, NUM_STAGES
 from ..errors import (
     ChannelNotFound,
     ConfigError,
-    CorruptCheckpoint,
+    CorruptCache,
     DegenerateSignal,
     InvalidInput,
 )
@@ -130,7 +130,7 @@ def save_epochset(es, path):
 def _need(f, n, field_name):
     data = f.read(n)
     if len(data) != n:
-        raise CorruptCheckpoint(
+        raise CorruptCache(
             f"cache ends after {len(data)} of {n} expected bytes", field=field_name
         )
     return data
@@ -140,10 +140,10 @@ def load_epochset(path):
     """Read a SEPC cache. The channel name is not part of the format."""
     with open(path, "rb") as f:
         if f.read(4) != CACHE_MAGIC:
-            raise CorruptCheckpoint("bad cache magic", field="magic")
+            raise CorruptCache("bad cache magic", field="magic")
         version = int(np.frombuffer(_need(f, 4, "version"), dtype="<u4")[0])
         if version != CACHE_VERSION:
-            raise CorruptCheckpoint(f"unsupported cache version {version}",
+            raise CorruptCache(f"unsupported cache version {version}",
                                     field="version")
         sid_len = int(np.frombuffer(_need(f, 2, "subject_id"), dtype="<u2")[0])
         subject_id = _need(f, sid_len, "subject_id").decode("utf-8")
@@ -155,5 +155,5 @@ def load_epochset(path):
             _need(f, n * l_epoch * 4, "samples"), dtype="<f4"
         ).astype(np.float64).reshape(n, l_epoch)
         if f.read(1):
-            raise CorruptCheckpoint("trailing bytes after samples", field="samples")
+            raise CorruptCache("trailing bytes after samples", field="samples")
     return EpochSet(samples, labels, subject_id, "", rate)

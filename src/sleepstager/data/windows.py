@@ -46,11 +46,7 @@ class WindowView:
 
     def indices(self, k):
         """Epoch indices covered by window k (clamped under replicate)."""
-        c = self._centers[k]
-        span = np.arange(c - self._half, c + self._half + 1)
-        if self.edge_policy == "replicate":
-            span = np.clip(span, 0, len(self.epoch_set) - 1)
-        return span
+        return self.spans([k])[0]
 
     def label(self, k):
         return int(self.epoch_set.labels[self._centers[k]])
@@ -58,8 +54,12 @@ class WindowView:
     def labels(self):
         return self.epoch_set.labels[self._centers].copy()
 
-    def gather(self, ks):
-        """Materialize windows ``ks`` as an array ``[len(ks), W, L]``."""
+    def spans(self, ks):
+        """Epoch indices ``[len(ks), W]`` of windows ``ks``, row by row.
+
+        Under ``replicate`` the indices are clamped to the recording, so an
+        edge window repeats its first or last epoch.
+        """
         ks = np.asarray(ks, dtype=np.intp)
         spans = (
             self._centers[ks][:, None]
@@ -67,7 +67,11 @@ class WindowView:
         )
         if self.edge_policy == "replicate":
             spans = np.clip(spans, 0, len(self.epoch_set) - 1)
-        return self.epoch_set.epochs[spans]
+        return spans
+
+    def gather(self, ks):
+        """Materialize windows ``ks`` as an array ``[len(ks), W, L]``."""
+        return self.epoch_set.epochs[self.spans(ks)]
 
 
 def make_windows(epoch_set, window_size, stride, edge_policy="skip"):

@@ -67,14 +67,22 @@ class InvalidLabel(StagerError):
     """A stage index is outside the five-class range 0..4."""
 
 
-class CorruptCheckpoint(StagerError):
-    """Checkpoint file is truncated, has a bad magic/version, or lies about shapes."""
+class _CorruptFile(StagerError):
+    """A stored file failed to load; ``field`` names the part that broke."""
 
     def __init__(self, message, field=None):
         self.field = field
         if field is not None:
             message += f" (field: {field})"
         super().__init__(message)
+
+
+class CorruptCheckpoint(_CorruptFile):
+    """Checkpoint file is truncated, has a bad magic/version, or lies about shapes."""
+
+
+class CorruptCache(_CorruptFile):
+    """A ``.sepc`` epoch cache is truncated, has a bad magic/version, or trails bytes."""
 
 
 class DegenerateDistribution(StagerError):

@@ -23,10 +23,8 @@ import numpy as np
 
 from . import STAGES
 from .autodiff import Tape, backward, take_per_row, zero_grads
-from .blocks import feature_extractor_forward
-from .autodiff import Tensor
 from .errors import ConfigError, InvalidInput, IoError
-from .model import forward_batch
+from .model import EVAL_BATCH, encode_epochs, forward_batch
 
 PATH_STEPS = 16
 
@@ -123,21 +121,17 @@ def heatmap_mass_fraction(heatmap, intervals, sample_rate, pad_s=0.0):
     return float(heatmap.values[mask].sum()) / total
 
 
-def export_features(params, cfg, epoch_set, batch_size=256):
-    """Per-epoch extractor feature matrix ``[N, D]`` plus the stage labels."""
-    n = len(epoch_set)
-    d = cfg.extractor.feature_dim
-    out = np.empty((n, d))
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        x = Tensor(epoch_set.epochs[start:stop, None, :])
-        feats, _ = feature_extractor_forward(x, cfg.extractor, params.extractor,
-                                             "eval")
-        out[start:stop] = feats.data
-    return out, epoch_set.labels.copy()
+def export_features(params, cfg, epoch_set, batch_size=EVAL_BATCH):
+    """Per-epoch extractor feature matrix ``[N, D]`` plus the stage labels.
+
+    The features come from ``encode_epochs``, the extractor pass that
+    evaluation scores from: each epoch once, in eval mode.
+    """
+    features = encode_epochs(epoch_set.epochs, params, cfg, batch_size)
+    return features, epoch_set.labels.copy()
 
 
-def export_features_csv(params, cfg, epoch_set, path, batch_size=256):
+def export_features_csv(params, cfg, epoch_set, path, batch_size=EVAL_BATCH):
     features, labels = export_features(params, cfg, epoch_set, batch_size)
     try:
         with open(path, "w", newline="") as f:

@@ -2,8 +2,10 @@
 
 A window of W consecutive epochs runs through the shared extractor, the
 per-epoch features form a sequence for the stacked Bi-LSTM, and the linear
-head reads the sequence output at the middle position (W-1)/2. Checkpoints
-serialize every learnable tensor plus batchnorm running state bit-exactly.
+head reads the sequence output at the middle position (W-1)/2. To score a
+whole recording, ``forward_recording`` encodes each epoch once and builds
+the windows from the features. Checkpoints serialize every learnable tensor
+plus batchnorm running state bit-exactly.
 """
 
 import io
@@ -35,6 +37,9 @@ from .recurrent import build_bilstm_stack, stack_forward
 
 CHECKPOINT_MAGIC = b"SSTG"
 CHECKPOINT_VERSION = 1
+# epochs per extractor call in eval: at paper scale a call of 32 peaks near
+# 230 MB and scores as fast as larger calls
+EVAL_BATCH = 32
 
 
 @dataclass
@@ -163,6 +168,18 @@ class WindowForward:
     middle_rows: np.ndarray  # row indices of the middle epochs in `activations`
 
 
+def _classify(feats, spans, params, cfg):
+    """Logits and log-probabilities of windows of per-epoch features.
+
+    Row ``b`` of ``spans`` ``[B, W]`` lists the rows of ``feats`` that make
+    window b; the Bi-LSTM reads them in order and the head its middle output.
+    """
+    seq = [take_rows(feats, spans[:, t]) for t in range(cfg.window_size)]
+    outs = stack_forward(seq, params.stack)
+    logits = _head_forward(outs[cfg.middle_index], params.head)
+    return logits, log_softmax(logits, axis=1)
+
+
 def forward_batch(windows, params, cfg, mode):
     """Run a batch of windows ``[B, W, L_epoch]`` through the full model."""
     arr = windows.data if isinstance(windows, Tensor) else np.asarray(windows)
@@ -176,16 +193,50 @@ def forward_batch(windows, params, cfg, mode):
     x = windows if isinstance(windows, Tensor) else Tensor(arr)
     x = reshape(x, (b * w, 1, l))
     feats, acts = feature_extractor_forward(x, cfg.extractor, params.extractor, mode)
-    base = np.arange(b) * w
-    seq = [take_rows(feats, base + t) for t in range(w)]
-    outs = stack_forward(seq, params.stack)
-    logits = _head_forward(outs[cfg.middle_index], params.head)
+    rows = np.arange(b * w).reshape(b, w)
+    logits, log_probs = _classify(feats, rows, params, cfg)
     return WindowForward(
-        log_probs=log_softmax(logits, axis=1),
+        log_probs=log_probs,
         logits=logits,
         activations=acts,
-        middle_rows=base + cfg.middle_index,
+        middle_rows=rows[:, cfg.middle_index],
     )
+
+
+def encode_epochs(epochs, params, cfg, batch_size=EVAL_BATCH):
+    """Eval-mode extractor features ``[N, D]`` of epochs ``[N, L_epoch]``.
+
+    Each epoch goes through the extractor once, in calls of at most
+    ``batch_size`` epochs, which bounds the memory of the conv maps.
+    """
+    epochs = np.asarray(epochs)
+    if epochs.ndim != 2 or epochs.shape[1] != cfg.epoch_len:
+        raise ShapeError(
+            f"expected epochs [N, {cfg.epoch_len}], got {epochs.shape}"
+        )
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    out = np.empty((len(epochs), cfg.extractor.feature_dim))
+    for start in range(0, len(epochs), batch_size):
+        stop = min(start + batch_size, len(epochs))
+        feats, _ = feature_extractor_forward(
+            Tensor(epochs[start:stop, None, :]), cfg.extractor, params.extractor,
+            "eval",
+        )
+        out[start:stop] = feats.data
+    return out
+
+
+def forward_recording(epochs, spans, params, cfg, batch_size=EVAL_BATCH):
+    """Eval-mode log-probabilities ``[B, 5]`` of windows over one recording.
+
+    Each epoch of ``epochs`` ``[N, L_epoch]`` goes through the extractor
+    once (``encode_epochs``); row b of ``spans`` ``[B, W]`` holds the epoch
+    indices of window b, whose features the Bi-LSTM and the head then read.
+    """
+    features = Tensor(encode_epochs(epochs, params, cfg, batch_size))
+    _, log_probs = _classify(features, spans, params, cfg)
+    return log_probs.data
 
 
 def forward_window(window, params, cfg, mode="eval"):

@@ -10,9 +10,11 @@ optimizer steps. Adam moves each parameter by about the learning rate per
 step, so the rate grows by s to keep the run's reach, rate times steps, at
 that of stride 1. Stride 1 draws no phases and keeps the configured rate.
 
-Evaluation always walks every epoch (stride 1, ``replicate`` edges) so
-each labeled epoch receives exactly one prediction. Runs are
-bit-reproducible for a fixed seed.
+Evaluation labels every epoch of a recording once, from its window at
+stride 1 with ``replicate`` edges. Each epoch goes through the extractor
+once; the windows are then built from the per-epoch features and read by
+the Bi-LSTM, the sequence-to-sequence scoring of DeepSleepNet (Supratak et
+al., arXiv 1703.04046). Runs are bit-reproducible for a fixed seed.
 """
 
 import time
@@ -33,7 +35,13 @@ from .errors import (
     InvalidLabel,
 )
 from .metrics import confusion_from, metrics_report
-from .model import build_stager_params, checkpoint_save, forward_batch
+from .model import (
+    EVAL_BATCH,
+    build_stager_params,
+    checkpoint_save,
+    forward_batch,
+    forward_recording,
+)
 
 from . import NUM_STAGES
 
@@ -191,6 +199,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
     phases = _stride_phases(rng, [len(v) for v in views], stride)
     adam = init_adam(params, lr=train_cfg.lr * stride)
     tensors = list(params.registry.values())
+    labels = [view.labels() for view in views]
     history = []
     for _ in range(train_cfg.epochs):
         index = _window_rows(views, stride, next(phases))
@@ -199,15 +208,9 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
         total = 0.0
         for start in range(0, n, train_cfg.batch_size):
             chosen = index[order[start : start + train_cfg.batch_size]]
-            batch = np.concatenate(
-                [
-                    views[vi].gather(ks[:, 1])
-                    for vi, ks in _group_by_view(chosen)
-                ]
-            )
-            targets = np.concatenate(
-                [views[vi].labels()[ks[:, 1]] for vi, ks in _group_by_view(chosen)]
-            )
+            groups = _group_by_view(chosen)
+            batch = np.concatenate([views[vi].gather(ks[:, 1]) for vi, ks in groups])
+            targets = np.concatenate([labels[vi][ks[:, 1]] for vi, ks in groups])
             zero_grads(tensors)
             with Tape() as tape:
                 out = forward_batch(batch, params, model_cfg, "train")
@@ -235,29 +238,46 @@ def _group_by_view(chosen):
     return groups
 
 
-def predict_epochs(params, model_cfg, es, batch_size=256):
-    """Stage prediction for every epoch (stride 1, replicate edges)."""
+def predict_epochs(params, model_cfg, es, batch_size=EVAL_BATCH):
+    """Stage prediction for every epoch (stride 1, replicate edges).
+
+    One pass: each epoch goes through the extractor once, in calls of at
+    most ``batch_size`` epochs, and each epoch's window of features then
+    runs through the Bi-LSTM and the head. Exact ties resolve to the
+    lowest stage index.
+    """
     view = make_windows(es, model_cfg.window_size, 1, "replicate")
-    preds = np.empty(len(view), dtype=np.int64)
-    for start in range(0, len(view), batch_size):
-        ks = np.arange(start, min(start + batch_size, len(view)))
-        out = forward_batch(view.gather(ks), params, model_cfg, "eval")
-        preds[ks] = np.argmax(out.log_probs.data, axis=1)
-    return preds
+    spans = view.spans(np.arange(len(view)))
+    log_probs = forward_recording(es.epochs, spans, params, model_cfg, batch_size)
+    return np.argmax(log_probs, axis=1)
 
 
-def evaluate(params, model_cfg, epoch_sets, batch_size=256):
-    """Pooled confusion matrix over every epoch of the given recordings."""
-    all_preds = []
-    all_labels = []
-    for es in epoch_sets:
-        if len(es) == 0:
-            continue
-        all_preds.append(predict_epochs(params, model_cfg, es, batch_size))
-        all_labels.append(es.labels.astype(np.int64))
-    if not all_preds:
+def predict_sets(params, model_cfg, epoch_sets, batch_size=EVAL_BATCH):
+    """``[(epoch_set, predictions)]`` for every recording that has epochs."""
+    scored = [
+        (es, predict_epochs(params, model_cfg, es, batch_size))
+        for es in epoch_sets
+        if len(es)
+    ]
+    if not scored:
         raise EmptyDataset("no epochs to evaluate")
-    return confusion_from(np.concatenate(all_preds), np.concatenate(all_labels))
+    return scored
+
+
+def pooled_confusion(scored):
+    """Confusion matrix over every epoch of ``predict_sets``' output."""
+    return confusion_from(
+        np.concatenate([preds for _, preds in scored]),
+        np.concatenate([es.labels.astype(np.int64) for es, _ in scored]),
+    )
+
+
+def evaluate(params, model_cfg, epoch_sets, batch_size=EVAL_BATCH):
+    """Pooled confusion matrix over every epoch of the given recordings.
+
+    Each epoch goes through the extractor once (see ``predict_epochs``).
+    """
+    return pooled_confusion(predict_sets(params, model_cfg, epoch_sets, batch_size))
 
 
 @dataclass

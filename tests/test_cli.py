@@ -1,10 +1,12 @@
 """CLI commands end to end: preparation, training, metrics, explanations."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from sleepstager import STAGES
 from sleepstager.cli import build_parser, main
 from sleepstager.config import KEYS, RunConfig, load_config_file
 from sleepstager.data import load_epochset, write_edf
@@ -203,6 +205,13 @@ class TestTrainEvalExplain:
         metrics = json.loads((out_eval / "metrics.json").read_text())
         assert 0.0 <= metrics["overall"]["accuracy"] <= 1.0
         assert metrics["overall"]["total_epochs"] == 64
+        with open(out_eval / "predictions.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["subject", "epoch", "true", "predicted"]
+        assert len(rows) - 1 == metrics["overall"]["total_epochs"]
+        assert rows[1][:2] == ["synth-000", "0"]
+        assert {r[2] for r in rows[1:]} <= set(STAGES)
+        assert {r[3] for r in rows[1:]} <= set(STAGES)
 
         out_exp = tmp_path / "explain"
         assert main(["explain", "--checkpoint", str(run1 / "checkpoint.sstg"),
@@ -232,6 +241,15 @@ class TestTrainEvalExplain:
         empty.mkdir()
         assert main(["train", "--cache-dir", str(empty),
                      "--out-dir", str(tmp_path / "o")]) == 3
+
+    def test_corrupt_cache_exits_3(self, synth_cache, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        blob = (synth_cache / "synth-000.sepc").read_bytes()
+        (bad / "synth-000.sepc").write_bytes(blob[:-10])
+        assert main(["train", "--cache-dir", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+        assert "(field: samples)" in capsys.readouterr().err
 
     def test_config_file_drives_training(self, synth_cache, tmp_path):
         cfg = tmp_path / "run.ini"

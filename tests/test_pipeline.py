@@ -20,7 +20,7 @@ from sleepstager.data import (
 from sleepstager.errors import (
     ChannelNotFound,
     ConfigError,
-    CorruptCheckpoint,
+    CorruptCache,
     DegenerateSignal,
     EmptyDataset,
 )
@@ -268,12 +268,13 @@ class TestCache:
         save_epochset(es, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(CorruptCache) as e:
             load_epochset(path)
+        assert e.value.field == "samples"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.sepc"
         path.write_bytes(b"NOPE" + b"\x00" * 50)
-        with pytest.raises(CorruptCheckpoint) as e:
+        with pytest.raises(CorruptCache) as e:
             load_epochset(path)
         assert e.value.field == "magic"

@@ -16,6 +16,7 @@ from sleepstager.errors import (
     EmptyDataset,
     InvalidLabel,
 )
+from sleepstager import model
 from sleepstager.metrics import metrics_report, overall_metrics
 from sleepstager.model import StagerConfig, build_stager_params, forward_batch
 from sleepstager.training import (
@@ -266,6 +267,62 @@ class TestEvaluate:
         preds = predict_epochs(params, cfg, small_synth[1])
         assert preds.shape == (len(small_synth[1]),)
         assert set(np.unique(preds)) <= {0, 1, 2, 3, 4}
+
+
+def trained_window5(small_synth):
+    """A window-5 model after one epoch, so batchnorm has running statistics."""
+    cfg = supertiny_config(window=5, rate=8.0)
+    params, _ = fit(small_synth[:1], cfg,
+                    TrainConfig(epochs=1, batch_size=8, stride_train=1))
+    return params, cfg
+
+
+class TestScoreEpochs:
+    BATCH = 4
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 2 * BATCH + 1])
+    def test_matches_window_by_window(self, small_synth, n):
+        # 1 and W-1 epochs clamp every window at both edges, W clamps all
+        # but the middle one, and 2 * BATCH + 1 crosses two chunk boundaries
+        params, cfg = trained_window5(small_synth)
+        es = small_synth[2]
+        es = EpochSet(es.epochs[:n], es.labels[:n], es.subject_id, es.channel,
+                      es.sample_rate)
+        view = make_windows(es, cfg.window_size, 1, "replicate")
+        ks = np.arange(n)
+        expected = forward_batch(view.gather(ks), params, cfg, "eval").log_probs.data
+        got = model.forward_recording(es.epochs, view.spans(ks), params, cfg,
+                                      batch_size=self.BATCH)
+        assert got.shape == (n, 5)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            predict_epochs(params, cfg, es, batch_size=self.BATCH),
+            np.argmax(expected, axis=1),
+        )
+
+    def test_each_epoch_reaches_the_extractor_once(self, small_synth, monkeypatch):
+        params, cfg = trained_window5(small_synth)
+        es = small_synth[1]
+        calls = []
+        original = model.feature_extractor_forward
+
+        def recording(x, *args):
+            calls.append(x.data.copy())
+            return original(x, *args)
+
+        monkeypatch.setattr(model, "feature_extractor_forward", recording)
+        preds = predict_epochs(params, cfg, es, batch_size=self.BATCH)
+        assert preds.shape == (len(es),)
+        assert max(len(x) for x in calls) <= self.BATCH
+        np.testing.assert_array_equal(np.concatenate(calls)[:, 0, :], es.epochs)
+
+    def test_evaluate_skips_empty_recordings(self, small_synth):
+        params, cfg = trained_window5(small_synth)
+        empty = EpochSet(np.empty((0, small_synth[0].epoch_len)), [], "e", "c", 8.0)
+        cm = evaluate(params, cfg, [empty, small_synth[3]])
+        assert cm.sum() == len(small_synth[3])
+        with pytest.raises(EmptyDataset):
+            evaluate(params, cfg, [empty])
 
 
 class TestCrossValidate:
