@@ -1,9 +1,10 @@
 """Differentiable operations: exactly the set the stager model needs.
 
-Convolution, pooling, the SE scaling primitive and batch normalization all
-accept either a single sample ``[C, L]`` or a batch ``[N, C, L]``; the
-single-sample form is the batched form with N == 1. Broadcasting is limited
-to bias-add and channel-scale by design.
+Each op has one batched form: convolution, pooling, the SE scaling
+primitive and batch normalization take ``[N, C, L]``, matmul takes two
+matrices, and input of another rank raises ``ShapeError``. A single sample
+is a batch with N == 1. Broadcasting is limited to bias-add and
+channel-scale by design.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from .tensor import Tensor, record
 
 
 def _rg(*tensors):
-    return any(t.requires_grad for t in tensors)
+    return any(t is not None and t.requires_grad for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +74,11 @@ def scale(x, c):
 
 
 def channel_scale(x, s):
-    """Per-channel rescaling: ``y[..., c, t] = s[..., c] * x[..., c, t]``."""
+    """Per-channel rescaling: ``y[n, c, t] = s[n, c] * x[n, c, t]``."""
     xd, sd = x.data, s.data
-    if xd.ndim == 2 and sd.shape == (xd.shape[0],):
-        se = sd[:, None]
-    elif xd.ndim == 3 and sd.shape == xd.shape[:2]:
-        se = sd[:, :, None]
-    else:
+    if xd.ndim != 3 or sd.shape != xd.shape[:2]:
         raise ShapeError(f"channel_scale: x {xd.shape} vs s {sd.shape}")
+    se = sd[:, :, None]
     out = Tensor._wrap(xd * se, _rg(x, s))
 
     def bwd(g):
@@ -96,23 +94,15 @@ def channel_scale(x, s):
 
 
 def matmul(a, b):
-    """Matrix product ``[m,k] @ [k,n] -> [m,n]`` or ``[m,k] @ [k] -> [m]``."""
+    """Matrix product ``[m,k] @ [k,n] -> [m,n]``."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {ad.shape} vs {bd.shape}")
     out = Tensor._wrap(ad @ bd, _rg(a, b))
 
-    if bd.ndim == 2:
-
-        def bwd(g):
-            a.accumulate_grad(g @ bd.T)
-            b.accumulate_grad(ad.T @ g)
-
-    else:
-
-        def bwd(g):
-            a.accumulate_grad(np.outer(g, bd))
-            b.accumulate_grad(ad.T @ g)
+    def bwd(g):
+        a.accumulate_grad(g @ bd.T)
+        b.accumulate_grad(ad.T @ g)
 
     record(out, bwd)
     return out
@@ -174,22 +164,6 @@ def take_rows(x, indices):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         np.add.at(x.grad, idx, g)
-
-    record(out, bwd)
-    return out
-
-
-def select_row(x, index):
-    """Single-row view (shares memory with the parent tensor's data)."""
-    i = int(index)
-    out = Tensor._wrap(x.data[i], x.requires_grad)
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[i] += g
 
     record(out, bwd)
     return out
@@ -281,30 +255,14 @@ def log_softmax(x, axis=-1):
     return out
 
 
-def activation(x, kind, axis=None):
-    """Dispatch on the activation name used throughout the model."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "log_softmax":
-        return log_softmax(x, axis=-1 if axis is None else axis)
-    raise ContractViolation(f"unknown activation kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
 
-def _as_batched(x):
-    """Promote [C, L] to [1, C, L]; report whether promotion happened."""
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected [C,L] or [N,C,L], got {x.shape}")
+def _check_ncl(op, x):
+    """Reject any input but a batch of signals ``[N, C, L]``."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"{op}: expected [N, C, L], got {x.data.shape}")
 
 
 def _im2col(xp, k, stride, l_out):
@@ -321,12 +279,13 @@ def _im2col(xp, k, stride, l_out):
 def conv1d(x, w, b=None, stride=1, padding=0):
     """1-D cross-correlation with optional bias.
 
-    ``x[(N,)C_in,L]``, ``w[C_out,C_in,K]``, ``b[C_out]`` ->
-    ``[(N,)C_out,L_out]`` with L_out = floor((L + 2*padding - K)/stride) + 1.
+    ``x[N,C_in,L]``, ``w[C_out,C_in,K]``, ``b[C_out]`` ->
+    ``[N,C_out,L_out]`` with L_out = floor((L + 2*padding - K)/stride) + 1.
     ``b=None`` skips the bias (used where batchnorm follows and would
     absorb it).
     """
-    xd, squeezed = _as_batched(x.data)
+    _check_ncl("conv1d", x)
+    xd = x.data
     if w.data.ndim != 3:
         raise ShapeError(f"conv1d: weight must be [C_out,C_in,K], got {w.data.shape}")
     n, c_in, l = xd.shape
@@ -348,34 +307,32 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     y = np.matmul(w2, patches)  # [N, C_out, L_out]
     if b is not None:
         y += b.data[:, None]
-    out = Tensor._wrap(y[0] if squeezed else y, _rg(*((x, w, b) if b is not None else (x, w))))
+    out = Tensor._wrap(y, _rg(x, w, b))
 
     def bwd(g):
-        gd = g[None] if squeezed else g
         if b is not None:
-            b.accumulate_grad(gd.sum(axis=(0, 2)))
+            b.accumulate_grad(g.sum(axis=(0, 2)))
         w.accumulate_grad(
-            np.matmul(gd, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
+            np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
                 c_out, c_in, k
             )
         )
         if x.requires_grad:
-            dpat = np.matmul(w2.T, gd).reshape(n, c_in, k, l_out)
+            dpat = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
             dxp = np.zeros_like(xp)
             for kk in range(k):
                 dxp[:, :, kk : kk + stride * l_out : stride] += dpat[:, :, kk, :]
             dx = dxp[:, :, padding : padding + l] if padding else dxp
-            x.accumulate_grad(dx[0] if squeezed else dx)
+            x.accumulate_grad(dx)
 
     record(out, bwd)
     return out
 
 
 def global_avg_pool(x):
-    """Average over the time axis: ``[(N,)C,L] -> [(N,)C]``."""
+    """Average over the time axis: ``[N,C,L] -> [N,C]``."""
+    _check_ncl("global_avg_pool", x)
     xd = x.data
-    if xd.ndim not in (2, 3):
-        raise ShapeError(f"global_avg_pool: expected [C,L] or [N,C,L], got {xd.shape}")
     l = xd.shape[-1]
     out = Tensor._wrap(xd.mean(axis=-1), x.requires_grad)
 
@@ -388,41 +345,30 @@ def global_avg_pool(x):
 
 def max_pool1d(x, k, stride):
     """Max pooling; gradient routes to the first maximal index of each window."""
-    xd, squeezed = _as_batched(x.data)
-    n, c, l = xd.shape
+    _check_ncl("max_pool1d", x)
+    n, c, l = x.data.shape
     if l < k:
         raise ShapeError(f"max_pool1d: window {k} exceeds length {l}")
     l_out = (l - k) // stride + 1
-    sn, sc, sl = xd.strides if xd.flags.c_contiguous else np.ascontiguousarray(xd).strides
-    xc = xd if xd.flags.c_contiguous else np.ascontiguousarray(xd)
+    xc = np.ascontiguousarray(x.data)
+    sn, sc, sl = xc.strides
     windows = np.lib.stride_tricks.as_strided(
         xc, shape=(n, c, l_out, k), strides=(sn, sc, sl * stride, sl)
     )
     arg = windows.argmax(axis=-1)
     y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    out = Tensor._wrap(y[0] if squeezed else y, x.requires_grad)
+    out = Tensor._wrap(y, x.requires_grad)
 
     def bwd(g):
         if not x.requires_grad:
             return
-        gd = g[None] if squeezed else g
         dx = np.zeros((n, c, l))
         ni, ci, ti = np.indices(arg.shape)
-        np.add.at(dx, (ni, ci, ti * stride + arg), gd)
-        x.accumulate_grad(dx[0] if squeezed else dx)
+        np.add.at(dx, (ni, ci, ti * stride + arg), g)
+        x.accumulate_grad(dx)
 
     record(out, bwd)
     return out
-
-
-def pool1d(x, kind, k=None, stride=None):
-    if kind == "global_avg":
-        return global_avg_pool(x)
-    if kind == "max":
-        if k is None or stride is None:
-            raise ContractViolation("max pooling needs k and stride")
-        return max_pool1d(x, k, stride)
-    raise ContractViolation(f"unknown pool kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +392,8 @@ def batchnorm1d(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
     Train mode normalizes by batch statistics and folds them into the
     running state; eval mode applies the stored running statistics.
     """
-    xd, squeezed = _as_batched(x.data)
+    _check_ncl("batchnorm1d", x)
+    xd = x.data
     n, c, l = xd.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"batchnorm1d: {c} channels, gamma {gamma.data.shape}")
@@ -472,22 +419,21 @@ def batchnorm1d(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mean[:, None]) * ivar[:, None]
     y = gamma.data[:, None] * xhat + beta.data[:, None]
-    out = Tensor._wrap(y[0] if squeezed else y, _rg(x, gamma, beta))
+    out = Tensor._wrap(y, _rg(x, gamma, beta))
 
     def bwd(g):
-        gd = g[None] if squeezed else g
-        gamma.accumulate_grad((gd * xhat).sum(axis=(0, 2)))
-        beta.accumulate_grad(gd.sum(axis=(0, 2)))
+        gamma.accumulate_grad((g * xhat).sum(axis=(0, 2)))
+        beta.accumulate_grad(g.sum(axis=(0, 2)))
         if not x.requires_grad:
             return
-        dxhat = gd * gamma.data[:, None]
+        dxhat = g * gamma.data[:, None]
         if mode == "eval":
             dx = dxhat * ivar[:, None]
         else:
             s1 = dxhat.sum(axis=(0, 2), keepdims=True)
             s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
             dx = (ivar[:, None] / m) * (m * dxhat - s1 - xhat * s2)
-        x.accumulate_grad(dx[0] if squeezed else dx)
+        x.accumulate_grad(dx)
 
     record(out, bwd)
     return out

@@ -2,13 +2,11 @@
 
 A squeeze-and-excitation gate re-weights the channels of each residual
 block; four stages of such blocks turn one 30-second epoch into a single
-feature vector. Everything accepts either ``[C, L]`` or a batch
-``[N, C, L]``.
+feature vector. Everything takes a batch ``[N, C, L]``; one epoch is a
+batch of one.
 """
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .autodiff import (
     BatchNormState,
@@ -238,10 +236,7 @@ def build_extractor(builder, cfg, prefix="extractor"):
 def se_forward(x, p):
     """Squeeze (global average), excite (bottleneck MLP + sigmoid), rescale."""
     z = global_avg_pool(x)
-    if z.data.ndim == 1:
-        s = sigmoid(matmul(p.fc2, relu(matmul(p.fc1, z))))
-    else:
-        s = sigmoid(matmul(relu(matmul(z, transpose(p.fc1))), transpose(p.fc2)))
+    s = sigmoid(matmul(relu(matmul(z, transpose(p.fc1))), transpose(p.fc2)))
     return channel_scale(x, s)
 
 
@@ -262,14 +257,14 @@ def basic_block_forward(x, p, mode):
 
 
 def feature_extractor_forward(x, cfg, params, mode):
-    """Map epochs ``[(N,)1,L]`` to features ``[(N,)D]``.
+    """Map epochs ``[N,1,L]`` to features ``[N,D]``.
 
     Returns ``(features, last_activations)`` where the activations are the
     final stage's output map, retained for relevance attribution.
     """
     xd = x.data
-    if xd.ndim not in (2, 3) or xd.shape[-2] != 1:
-        raise ShapeError(f"extractor expects [(N,)1,L], got {xd.shape}")
+    if xd.ndim != 3 or xd.shape[1] != 1:
+        raise ShapeError(f"feature_extractor_forward: expected [N,1,L], got {xd.shape}")
     pad = (cfg.stem_kernel - 1) // 2
     h = conv1d(x, params.stem_conv.w, params.stem_conv.b,
                stride=cfg.stem_stride, padding=pad)

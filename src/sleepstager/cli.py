@@ -109,6 +109,14 @@ def _load_caches(cache_dir):
     return sets, rates.pop()
 
 
+def _check_rate(rate, model_cfg):
+    """Caches must hold the sample rate the checkpoint was trained on."""
+    if abs(rate - model_cfg.sample_rate) > 1e-9:
+        raise ConfigError(
+            f"cache rate {rate} Hz != checkpoint's {model_cfg.sample_rate} Hz"
+        )
+
+
 def _find_hypnogram(edf_path, fmt):
     stem = edf_path.name[: -len(edf_path.suffix)]
     if stem.endswith("-PSG"):
@@ -261,10 +269,7 @@ def cmd_eval(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     params, model_cfg = checkpoint_load(run.require("checkpoint"))
     sets, rate = _load_caches(run.require("cache_dir"))
-    if abs(rate - model_cfg.sample_rate) > 1e-9:
-        raise ConfigError(
-            f"cache rate {rate} Hz != checkpoint's {model_cfg.sample_rate} Hz"
-        )
+    _check_rate(rate, model_cfg)
     scored = predict_sets(params, model_cfg, sets)
     cm = pooled_confusion(scored)
     _write_json(out_dir / "metrics.json", metrics_report(cm))
@@ -296,6 +301,7 @@ def cmd_explain(args):
     if not cache.exists():
         raise EmptyDataset(f"no cache for subject {subject!r} at {cache}")
     es = load_epochset(cache)
+    _check_rate(es.sample_rate, model_cfg)
     view = make_windows(es, model_cfg.window_size, 1, "replicate")
     summary = {"subject": subject, "epochs": []}
     for idx in run["epoch_indices"]:

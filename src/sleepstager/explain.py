@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import STAGES
+from . import NUM_STAGES, STAGES
 from .autodiff import Tape, backward, take_per_row, zero_grads
 from .errors import ConfigError, InvalidInput, IoError
 from .model import EVAL_BATCH, encode_epochs, forward_batch
@@ -67,7 +67,7 @@ def normalize_minmax(values):
 
 
 def gradcam(params, cfg, window, target=None, gradient_source="log_prob"):
-    """Relevance heatmap for the middle epoch of one window (eval mode).
+    """Relevance heatmap for the middle epoch of one window ``[W, L]`` (eval mode).
 
     The target defaults to the class predicted for the unscaled window;
     the channel weights come from the path-averaged gradients and weight
@@ -76,13 +76,11 @@ def gradcam(params, cfg, window, target=None, gradient_source="log_prob"):
     if gradient_source not in ("log_prob", "logit"):
         raise ConfigError(f"unknown gradient source {gradient_source!r}")
     arr = np.asarray(window, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[1] == 1:
-        arr = arr[:, 0, :]
     out = forward_batch(arr[None], params, cfg, "eval")
     predicted = int(np.argmax(out.log_probs.data[0]))
     chosen = predicted if target is None else int(target)
-    if not 0 <= chosen < cfg.num_classes:
-        raise InvalidInput(f"target class {chosen} outside 0..4")
+    if not 0 <= chosen < NUM_STAGES:
+        raise InvalidInput(f"target class {chosen} outside 0..{NUM_STAGES - 1}")
     acts = out.activations.data[out.middle_rows[0]]
     grads = np.zeros_like(acts)
     tensors = list(params.registry.values())

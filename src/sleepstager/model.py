@@ -4,8 +4,11 @@ A window of W consecutive epochs runs through the shared extractor, the
 per-epoch features form a sequence for the stacked Bi-LSTM, and the linear
 head reads the sequence output at the middle position (W-1)/2. To score a
 whole recording, ``forward_recording`` encodes each epoch once and builds
-the windows from the features. Checkpoints serialize every learnable tensor
-plus batchnorm running state bit-exactly.
+the windows from the features. Every entry point takes a batch: windows
+``[B, W, L]`` in ``forward_batch`` and a recording's epochs ``[N, L]`` in
+``forward_recording``; GradCAM runs its window as a batch of one.
+Checkpoints serialize every learnable tensor plus batchnorm running state
+bit-exactly.
 """
 
 import io
@@ -22,7 +25,6 @@ from .autodiff import (
     matmul,
     relu,
     reshape,
-    select_row,
     take_rows,
     transpose,
 )
@@ -40,14 +42,15 @@ CHECKPOINT_VERSION = 1
 # epochs per extractor call in eval: at paper scale a call of 32 peaks near
 # 230 MB and scores as fast as larger calls
 EVAL_BATCH = 32
+# manifest keys with one legal value: checkpoints still carry them, so the
+# file format is unchanged, but no config can set them
+_FIXED_MANIFEST_KEYS = {"stride_eval": 1, "num_classes": NUM_STAGES}
 
 
 @dataclass
 class StagerConfig:
     window_size: int = 9
     stride_train: int = 4
-    stride_eval: int = 1
-    num_classes: int = NUM_STAGES
     extractor: FeatureExtractorConfig = field(
         default_factory=FeatureExtractorConfig.create
     )
@@ -64,10 +67,6 @@ class StagerConfig:
             )
         if self.stride_train < 1:
             raise ConfigError("stride_train must be >= 1")
-        if self.stride_eval != 1:
-            raise ConfigError("stride_eval is fixed at 1")
-        if self.num_classes != NUM_STAGES:
-            raise ConfigError("the stager is a five-class model")
         if not self.head_widths or self.head_widths[-1] != NUM_STAGES:
             raise ConfigError(
                 f"head widths must end in {NUM_STAGES}, got {self.head_widths}"
@@ -96,8 +95,7 @@ class StagerConfig:
         return {
             "window_size": self.window_size,
             "stride_train": self.stride_train,
-            "stride_eval": self.stride_eval,
-            "num_classes": self.num_classes,
+            **_FIXED_MANIFEST_KEYS,
             "extractor": self.extractor.to_dict(),
             "lstm_hidden": self.lstm_hidden,
             "lstm_depth": self.lstm_depth,
@@ -108,11 +106,12 @@ class StagerConfig:
 
     @classmethod
     def from_dict(cls, d):
+        for key, value in _FIXED_MANIFEST_KEYS.items():
+            if int(d[key]) != value:
+                raise ConfigError(f"{key} is fixed at {value}, got {d[key]}")
         cfg = cls(
             window_size=int(d["window_size"]),
             stride_train=int(d["stride_train"]),
-            stride_eval=int(d["stride_eval"]),
-            num_classes=int(d["num_classes"]),
             extractor=FeatureExtractorConfig.from_dict(d["extractor"]),
             lstm_hidden=int(d["lstm_hidden"]),
             lstm_depth=int(d["lstm_depth"]),
@@ -239,33 +238,6 @@ def forward_recording(epochs, spans, params, cfg, batch_size=EVAL_BATCH):
     return log_probs.data
 
 
-def forward_window(window, params, cfg, mode="eval"):
-    """Single-window forward.
-
-    Accepts ``[W, 1, L]`` or ``[W, L]``; returns the middle epoch's
-    log-probabilities ``[5]`` and its final conv activation map
-    ``[C_last, L_last]`` (a view into the batch activations, which is what
-    relevance attribution differentiates).
-    """
-    arr = window.data if isinstance(window, Tensor) else np.asarray(window)
-    if arr.ndim == 3:
-        if arr.shape[1] != 1:
-            raise ShapeError(f"expected [W, 1, L], got {arr.shape}")
-        arr = arr[:, 0, :]
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a [W, L] window, got {arr.shape}")
-    out = forward_batch(arr[None], params, cfg, mode)
-    log_probs = reshape(out.log_probs, (cfg.num_classes,))
-    middle_acts = select_row(out.activations, out.middle_rows[0])
-    return log_probs, middle_acts
-
-
-def predict(window, params, cfg):
-    """Most likely stage index; exact ties resolve to the lowest index."""
-    log_probs, _ = forward_window(window, params, cfg, mode="eval")
-    return int(np.argmax(log_probs.data))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -377,12 +349,3 @@ def checkpoint_load(path):
         if f.read(1):
             raise CorruptCheckpoint("trailing bytes after payload", field="payload")
     return params, cfg
-
-
-def trainable_tensors(params):
-    return list(params.registry.values())
-
-
-def set_requires_grad(params, flag):
-    for t in params.registry.values():
-        t.requires_grad = flag

@@ -1,8 +1,9 @@
 """LSTM cell, bidirectional layer, and the stacked Bi-LSTM context encoder.
 
 Each cell holds four gate matrices acting on the concatenation
-``[h(t-1), x(t)]``. Inputs may be single vectors ``[D]`` or batches
-``[B, D]``; hidden state starts at zero for every sequence.
+``[h(t-1), x(t)]``. Every step takes a batch of B sequences, ``x(t)`` as
+``[B, D]`` and the state as ``[B, H]``; hidden state starts at zero for
+every sequence.
 """
 
 from dataclasses import dataclass
@@ -81,8 +82,6 @@ def build_bilstm_stack(builder, name, input_size, hidden_size, depth):
 
 
 def _gate(zcat, w, b, act):
-    if zcat.data.ndim == 1:
-        return act(add(matmul(w, zcat), b))
     return act(add_rowvec(matmul(zcat, transpose(w)), b))
 
 
@@ -93,15 +92,11 @@ def lstm_cell_step(x_t, h_prev, c_prev, p):
     c~ = tanh(W_c [h, x] + b_c), c = f*c_prev + i*c~,
     o = sigma(W_o [h, x] + b_o), h = o*tanh(c).
     """
-    if x_t.data.ndim not in (1, 2) or x_t.data.ndim != h_prev.data.ndim:
+    xs, hs = x_t.data.shape, h_prev.data.shape
+    if len(xs) != 2 or xs[1] != p.input_size or hs != (xs[0], p.hidden_size):
         raise ShapeError(
-            f"lstm step: x {x_t.data.shape} vs h {h_prev.data.shape}"
-        )
-    expected = p.hidden_size + p.input_size
-    if x_t.data.shape[-1] + h_prev.data.shape[-1] != expected:
-        raise ShapeError(
-            f"lstm step: concat width {x_t.data.shape[-1] + h_prev.data.shape[-1]}"
-            f" does not match weights ({expected})"
+            f"lstm_cell_step: x {xs} and h {hs} do not fit "
+            f"[B, {p.input_size}] and [B, {p.hidden_size}]"
         )
     zcat = concat([h_prev, x_t], axis=-1)
     f = _gate(zcat, p.w_f, p.b_f, sigmoid)
@@ -114,8 +109,6 @@ def lstm_cell_step(x_t, h_prev, c_prev, p):
 
 
 def _zero_state(like, hidden_size):
-    if like.data.ndim == 1:
-        return Tensor(np.zeros(hidden_size))
     return Tensor(np.zeros((like.data.shape[0], hidden_size)))
 
 

@@ -52,7 +52,6 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 0.001
     stride_train: int = 4
-    stride_eval: int = 1
     seed: int = 0
     shuffle: bool = True
 
@@ -63,8 +62,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.stride_train < 1:
             raise ConfigError("stride_train must be >= 1")
-        if self.stride_eval != 1:
-            raise ConfigError("stride_eval is fixed at 1")
         return self
 
 

@@ -15,7 +15,6 @@ from sleepstager import STAGE_TO_INDEX
 from sleepstager.autodiff import (
     BatchNormState,
     Tensor,
-    activation,
     batchnorm1d,
     conv1d,
     global_avg_pool,
@@ -24,6 +23,7 @@ from sleepstager.autodiff import (
     matmul,
     max_pool1d,
     mul,
+    relu,
     sigmoid,
     sum_all,
     tanh,
@@ -118,7 +118,7 @@ def test_criterion_1_gradient_fidelity(capsys):
                    Tensor(rng.uniform(-1, 1, (5, 3)))])
     check("conv1d",
           lambda x, w, b: sum_all(tanh(conv1d(x, w, b, stride=2, padding=1))),
-          lambda: [Tensor(rng.uniform(-1, 1, (2, 16))),
+          lambda: [Tensor(rng.uniform(-1, 1, (1, 2, 16))),
                    Tensor(rng.uniform(-1, 1, (3, 2, 5))),
                    Tensor(rng.uniform(-1, 1, 3))])
 
@@ -133,22 +133,22 @@ def test_criterion_1_gradient_fidelity(capsys):
               batchnorm1d(x, g, b, BatchNormState(2), "train"),
               Tensor(bn_weights))),
           bn_inputs, tol=1e-5)
-    for kind in ("relu", "sigmoid", "tanh"):
+    for kind, op in (("relu", relu), ("sigmoid", sigmoid), ("tanh", tanh)):
         def make(kind=kind):
             x = rng.uniform(-2, 2, 8)
             x[np.abs(x) < 1e-3] += 0.01
             return [Tensor(x)]
-        check(kind, lambda x, kind=kind: sum_all(activation(x, kind)), make)
+        check(kind, lambda x, op=op: sum_all(op(x)), make)
     ls_weights = rng.uniform(-1, 1, (3, 5))
     check("log_softmax",
           lambda x: sum_all(mul(log_softmax(x, axis=1), Tensor(ls_weights))),
           lambda: [Tensor(rng.uniform(-3, 3, (3, 5)))])
     check("global_avg_pool",
           lambda x: sum_all(sigmoid(global_avg_pool(x))),
-          lambda: [Tensor(rng.uniform(-1, 1, (3, 12)))])
+          lambda: [Tensor(rng.uniform(-1, 1, (1, 3, 12)))])
     check("max_pool",
           lambda x: sum_all(tanh(max_pool1d(x, 3, 2))),
-          lambda: [Tensor(rng.permutation(np.linspace(-2, 2, 36)).reshape(3, 12))])
+          lambda: [Tensor(rng.permutation(np.linspace(-2, 2, 36)).reshape(1, 3, 12))])
     check("nll_loss",
           lambda x: nll_loss(log_softmax(x, axis=1), np.array([0, 3, 2])),
           lambda: [Tensor(rng.uniform(-2, 2, (3, 5)))], tol=1e-7)
@@ -201,31 +201,31 @@ def test_criterion_1_gradient_fidelity(capsys):
 def test_criterion_2_lstm_equations(capsys):
     from sleepstager.blocks import ParamBuilder
     from sleepstager.recurrent import build_lstm_cell, lstm_cell_step
-    from sleepstager.autodiff import concat, add
+    from sleepstager.autodiff import add_rowvec, concat, transpose
 
     builder = ParamBuilder(seed=0)
     p = build_lstm_cell(builder, "cell", 3, 4)
     for t in builder.registry.values():
         t.data[:] = 0.0
-    x = Tensor([0.7, -1.1, 0.4])
-    h0 = Tensor(np.zeros(4))
-    c0 = Tensor(np.zeros(4))
+    x = Tensor([[0.7, -1.1, 0.4]])
+    h0 = Tensor(np.zeros((1, 4)))
+    c0 = Tensor(np.zeros((1, 4)))
     # gate values at zero parameters: sigmoid(0) exactly 0.5, tanh(0) = 0
     zcat = concat([h0, x])
     for w, b in ((p.w_f, p.b_f), (p.w_i, p.b_i), (p.w_o, p.b_o)):
-        gate = sigmoid(add(matmul(w, zcat), b))
-        np.testing.assert_array_equal(gate.data, np.full(4, 0.5))
-    c_hat = tanh(add(matmul(p.w_c, zcat), p.b_c))
-    np.testing.assert_array_equal(c_hat.data, np.zeros(4))
+        gate = sigmoid(add_rowvec(matmul(zcat, transpose(w)), b))
+        np.testing.assert_array_equal(gate.data[0], np.full(4, 0.5))
+    c_hat = tanh(add_rowvec(matmul(zcat, transpose(p.w_c)), p.b_c))
+    np.testing.assert_array_equal(c_hat.data[0], np.zeros(4))
     h1, c1 = lstm_cell_step(x, h0, c0, p)
-    np.testing.assert_array_equal(c1.data, np.zeros(4))
-    np.testing.assert_array_equal(h1.data, np.zeros(4))
+    np.testing.assert_array_equal(c1.data[0], np.zeros(4))
+    np.testing.assert_array_equal(h1.data[0], np.zeros(4))
 
     # saturated forget gate holds memory, closed input gate admits nothing
     p.b_f.data[:] = 10.0
     p.b_i.data[:] = -10.0
     held = np.array([1.5, -0.7, 0.2, 2.0])
-    _, c_t = lstm_cell_step(x, Tensor(np.zeros(4)), Tensor(held.copy()), p)
+    _, c_t = lstm_cell_step(x, Tensor(np.zeros((1, 4))), Tensor(held[None].copy()), p)
     drift = np.max(np.abs(c_t.data - held))
     assert drift < 1e-3, drift
     announce(capsys, f"ACCEPTANCE 2 LSTM equations: PASS (memory drift {drift:.2e})")

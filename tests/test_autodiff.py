@@ -9,7 +9,6 @@ from sleepstager.autodiff import (
     BatchNormState,
     Tape,
     Tensor,
-    activation,
     add,
     backward,
     batchnorm1d,
@@ -22,10 +21,8 @@ from sleepstager.autodiff import (
     matmul,
     max_pool1d,
     mul,
-    pool1d,
     relu,
     scale,
-    select_row,
     sigmoid,
     sum_all,
     take_per_row,
@@ -34,6 +31,7 @@ from sleepstager.autodiff import (
     tensor_init,
     transpose,
 )
+from sleepstager.blocks import FeatureExtractorConfig, ParamBuilder, build_extractor
 from sleepstager.errors import (
     ContractViolation,
     InvalidShape,
@@ -94,8 +92,8 @@ class TestMatmul:
 
     def test_matvec(self):
         a = Tensor([[1.0, 0.0], [0.0, 2.0]])
-        v = Tensor([3.0, 4.0])
-        np.testing.assert_array_equal(matmul(a, v).data, [3.0, 8.0])
+        v = Tensor([[3.0], [4.0]])
+        np.testing.assert_array_equal(matmul(a, v).data, [[3.0], [8.0]])
 
     def test_mismatch(self):
         with pytest.raises(ShapeError):
@@ -111,30 +109,30 @@ class TestMatmul:
 
 class TestConv1d:
     def test_hand_edge_detector(self):
-        x = Tensor([[1.0, 2.0, 3.0]])
+        x = Tensor([[[1.0, 2.0, 3.0]]])
         w = Tensor([[[1.0, 0.0, -1.0]]])
         b = Tensor([0.0])
-        np.testing.assert_allclose(conv1d(x, w, b).data, [[-2.0]])
+        np.testing.assert_allclose(conv1d(x, w, b).data, [[[-2.0]]])
 
     def test_hand_stride(self):
-        x = Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        x = Tensor([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
         w = Tensor([[[1.0, 1.0]]])
         b = Tensor([1.0])
-        np.testing.assert_allclose(conv1d(x, w, b, stride=2).data, [[4.0, 8.0]])
+        np.testing.assert_allclose(conv1d(x, w, b, stride=2).data, [[[4.0, 8.0]]])
 
     def test_too_large_kernel(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 1, 5))), Tensor([0.0]))
+            conv1d(Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 5))), Tensor([0.0]))
 
     def test_output_length(self):
-        x = Tensor(np.ones((2, 16)))
+        x = Tensor(np.ones((1, 2, 16)))
         w = Tensor(np.ones((3, 2, 5)))
         b = Tensor(np.zeros(3))
-        assert conv1d(x, w, b, stride=2, padding=2).data.shape == (3, 8)
+        assert conv1d(x, w, b, stride=2, padding=2).data.shape == (1, 3, 8)
 
     def test_gradients_all_three(self):
         rng = np.random.default_rng(1)
-        x = rand_tensor(rng, (2, 16))
+        x = rand_tensor(rng, (1, 2, 16))
         w = rand_tensor(rng, (3, 2, 5))
         b = rand_tensor(rng, (3,))
         err = grad_check(
@@ -144,14 +142,15 @@ class TestConv1d:
         assert err < 1e-6
 
     def test_batched_matches_single(self):
+        # a batch of four against four batches of one
         rng = np.random.default_rng(2)
         xs = rng.uniform(-1, 1, size=(4, 2, 10))
         w = Tensor(rng.uniform(-1, 1, size=(3, 2, 3)))
         b = Tensor(rng.uniform(-1, 1, size=3))
         batched = conv1d(Tensor(xs), w, b, stride=1, padding=1).data
         for i in range(4):
-            single = conv1d(Tensor(xs[i]), w, b, stride=1, padding=1).data
-            np.testing.assert_allclose(batched[i], single, rtol=1e-12)
+            single = conv1d(Tensor(xs[i : i + 1]), w, b, stride=1, padding=1).data
+            np.testing.assert_allclose(batched[i], single[0], rtol=1e-12)
 
 
 class TestActivations:
@@ -171,19 +170,14 @@ class TestActivations:
             p = np.exp(log_softmax(x, axis=1).data)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_dispatcher(self):
-        x = Tensor([[1.0, -1.0]])
-        np.testing.assert_array_equal(activation(x, "relu").data, [[1.0, 0.0]])
-        with pytest.raises(ContractViolation):
-            activation(x, "swish")
-
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
     def test_elementwise_gradients(self, kind):
+        op = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}[kind]
         rng = np.random.default_rng(4)
         for point in range(10):
             x = rand_tensor(rng, (6,), lo=-2.0, hi=2.0)
             x.data[np.abs(x.data) < 1e-3] += 0.01  # keep clear of relu kink
-            err = grad_check(lambda t: sum_all(activation(t, kind)), [x])
+            err = grad_check(lambda t: sum_all(op(t)), [x])
             assert err < 1e-6, f"{kind} point {point}: {err}"
 
     def test_log_softmax_gradient(self):
@@ -199,34 +193,29 @@ class TestActivations:
 
 class TestPooling:
     def test_global_avg_hand(self):
-        x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        np.testing.assert_allclose(global_avg_pool(x).data, [2.0, 5.0])
+        x = Tensor([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
+        np.testing.assert_allclose(global_avg_pool(x).data, [[2.0, 5.0]])
 
     def test_max_hand(self):
-        x = Tensor([[1.0, 3.0, 2.0, 5.0]])
-        np.testing.assert_allclose(max_pool1d(x, 2, 2).data, [[3.0, 5.0]])
+        x = Tensor([[[1.0, 3.0, 2.0, 5.0]]])
+        np.testing.assert_allclose(max_pool1d(x, 2, 2).data, [[[3.0, 5.0]]])
 
     def test_max_tie_first_index(self):
-        x = Tensor([[2.0, 2.0]])
+        x = Tensor([[[2.0, 2.0]]])
         with Tape() as tape:
             xt = Tensor(x.data, requires_grad=True)
             y = sum_all(max_pool1d(xt, 2, 1))
         backward(y, tape)
-        np.testing.assert_array_equal(xt.grad, [[1.0, 0.0]])
-
-    def test_pool_dispatcher(self):
-        x = Tensor(np.arange(8.0).reshape(2, 4))
-        assert pool1d(x, "global_avg").data.shape == (2,)
-        assert pool1d(x, "max", k=2, stride=2).data.shape == (2, 2)
+        np.testing.assert_array_equal(xt.grad, [[[1.0, 0.0]]])
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            x = rand_tensor(rng, (3, 12))
+            x = rand_tensor(rng, (1, 3, 12))
             err = grad_check(lambda t: sum_all(global_avg_pool(t)), [x])
             assert err < 1e-6
             # keep windows clear of ties so the subgradient is unique
-            x2 = Tensor(rng.permutation(np.linspace(-2, 2, 36)).reshape(3, 12))
+            x2 = Tensor(rng.permutation(np.linspace(-2, 2, 36)).reshape(1, 3, 12))
             err = grad_check(lambda t: sum_all(max_pool1d(t, 3, 2)), [x2])
             assert err < 1e-6
 
@@ -358,7 +347,7 @@ class TestBackward:
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(3, 20))
+        x = rng.normal(size=(1, 3, 20))
         w = tensor_init([2, 3, 5], "fan_in_scaled", seed=3)
         b = tensor_init([2], "zeros")
         a = conv1d(Tensor(x), w, b, stride=2, padding=2).data
@@ -385,20 +374,15 @@ class TestStructuralOps:
         backward(y, tape)
         np.testing.assert_array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
 
-    def test_select_row_is_view(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        row = select_row(x, 1)
-        assert np.shares_memory(row.data, x.data)
-
     def test_take_per_row(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(take_per_row(x, [1, 0]).data, [2.0, 3.0])
 
     def test_transpose_scale_channel_scale_grads(self):
         rng = np.random.default_rng(15)
-        x = rand_tensor(rng, (3, 6))
-        s = rand_tensor(rng, (3,))
-        w = rng.uniform(-1, 1, size=(3, 6))
+        x = rand_tensor(rng, (1, 3, 6))
+        s = rand_tensor(rng, (1, 3))
+        w = rng.uniform(-1, 1, size=(1, 3, 6))
         err = grad_check(
             lambda xx, ss: sum_all(mul(channel_scale(xx, ss), Tensor(w))), [x, s]
         )
@@ -408,6 +392,50 @@ class TestStructuralOps:
         assert err < 1e-6
         err = grad_check(lambda t: sum_all(scale(sigmoid(t), -2.5)), [m])
         assert err < 1e-6
+
+
+def _extractor_on(x):
+    from sleepstager.blocks import feature_extractor_forward
+
+    cfg = FeatureExtractorConfig.create("se_resnet_18", width_multiplier=0.0625,
+                                        reduction_ratio=4)
+    params = build_extractor(ParamBuilder(seed=0), cfg)
+    return feature_extractor_forward(Tensor(x), cfg, params, "train")
+
+
+def _lstm_step_on(x):
+    from sleepstager.recurrent import build_lstm_cell, lstm_cell_step
+
+    p = build_lstm_cell(ParamBuilder(seed=0), "cell", 3, 4)
+    return lstm_cell_step(Tensor(x), Tensor(np.zeros(4)), Tensor(np.zeros(4)), p)
+
+
+# op -> (the single-sample shape it is handed, the call)
+SINGLE_SAMPLE_CALLS = {
+    "conv1d": ((2, 8), lambda: conv1d(Tensor(np.ones((2, 8))), Tensor(np.ones((3, 2, 3))))),
+    "max_pool1d": ((2, 8), lambda: max_pool1d(Tensor(np.ones((2, 8))), 2, 2)),
+    "batchnorm1d": ((2, 8), lambda: batchnorm1d(
+        Tensor(np.ones((2, 8))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+        BatchNormState(2), "train")),
+    "channel_scale": ((2, 8), lambda: channel_scale(Tensor(np.ones((2, 8))),
+                                                    Tensor(np.ones(2)))),
+    "global_avg_pool": ((2, 8), lambda: global_avg_pool(Tensor(np.ones((2, 8))))),
+    "feature_extractor_forward": ((1, 300), lambda: _extractor_on(np.ones((1, 300)))),
+    "lstm_cell_step": ((3,), lambda: _lstm_step_on(np.ones(3))),
+    "matmul": ((3,), lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))),
+}
+
+
+class TestWrongRank:
+    @pytest.mark.parametrize("op", list(SINGLE_SAMPLE_CALLS))
+    def test_single_sample_form_rejected(self, op):
+        # every op takes one batched rank; a single sample [C, L] or [D]
+        # fails with a ShapeError that names the op and the shape it got
+        shape, call = SINGLE_SAMPLE_CALLS[op]
+        with pytest.raises(ShapeError) as e:
+            call()
+        assert op in str(e.value)
+        assert str(shape) in str(e.value)
 
 
 class TestGradCheckHarness:

@@ -22,26 +22,27 @@ from sleepstager.autodiff import grad_check
 
 class TestSEBlock:
     def test_forced_scale_is_channel_scaling(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        s = Tensor([0.5, 1.0])
+        x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        s = Tensor([[0.5, 1.0]])
         np.testing.assert_allclose(
-            channel_scale(x, s).data, [[0.5, 1.0], [3.0, 4.0]]
+            channel_scale(x, s).data, [[[0.5, 1.0], [3.0, 4.0]]]
         )
 
     def test_squeeze_is_hand_average(self):
-        z = global_avg_pool(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-        np.testing.assert_allclose(z.data, [2.0, 5.0])
+        z = global_avg_pool(Tensor([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]]))
+        np.testing.assert_allclose(z.data, [[2.0, 5.0]])
 
     def test_scale_in_sigmoid_range_and_contracts(self):
         rng = np.random.default_rng(0)
         builder = ParamBuilder(seed=1)
         p = build_se(builder, "se", 4, 2)
-        x = Tensor(rng.normal(size=(4, 8)))
+        x = Tensor(rng.normal(size=(1, 4, 8)))
         y = se_forward(x, p).data
         assert np.all(np.abs(y) <= np.abs(x.data) + 1e-15)
         assert np.all(np.sign(y) == np.sign(x.data))
 
     def test_batched_matches_single(self):
+        # a batch of three against three batches of one
         rng = np.random.default_rng(1)
         builder = ParamBuilder(seed=2)
         p = build_se(builder, "se", 4, 2)
@@ -49,15 +50,15 @@ class TestSEBlock:
         batched = se_forward(Tensor(xs), p).data
         for i in range(3):
             np.testing.assert_allclose(
-                batched[i], se_forward(Tensor(xs[i]), p).data, rtol=1e-12
+                batched[i], se_forward(Tensor(xs[i : i + 1]), p).data[0], rtol=1e-12
             )
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
         builder = ParamBuilder(seed=3)
         p = build_se(builder, "se", 4, 2)
-        x = Tensor(rng.normal(size=(4, 8)))
-        w = rng.uniform(-1, 1, size=(4, 8))
+        x = Tensor(rng.normal(size=(1, 4, 8)))
+        w = rng.uniform(-1, 1, size=(1, 4, 8))
         err = grad_check(
             lambda xx, f1, f2: sum_all(mul(se_forward(xx, p), Tensor(w))),
             [x, p.fc1, p.fc2],
@@ -80,8 +81,8 @@ class TestBasicBlock:
         builder = ParamBuilder(seed=5)
         p = build_basic_block(builder, "blk", 2, 4, 2, 2)
         assert p.shortcut_conv is not None
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 16)))
-        assert basic_block_forward(x, p, "train").data.shape == (4, 8)
+        x = Tensor(np.random.default_rng(4).normal(size=(1, 2, 16)))
+        assert basic_block_forward(x, p, "train").data.shape == (1, 4, 8)
 
     def test_se_is_pure_channel_reweighting(self, monkeypatch):
         # with the excitation forced to all ones the block must equal the
@@ -89,10 +90,10 @@ class TestBasicBlock:
         rng = np.random.default_rng(5)
         builder = ParamBuilder(seed=6)
         p = build_basic_block(builder, "blk", 3, 3, 1, 3)
-        x = Tensor(rng.normal(size=(3, 12)))
+        x = Tensor(rng.normal(size=(1, 3, 12)))
 
         def forced_ones(h, _p):
-            return channel_scale(h, Tensor(np.ones(h.data.shape[-2])))
+            return channel_scale(h, Tensor(np.ones(h.data.shape[:2])))
 
         monkeypatch.setattr(blocks, "se_forward", forced_ones)
         forced = basic_block_forward(x, p, "train").data
@@ -111,8 +112,8 @@ class TestBasicBlock:
             t.data += rng.uniform(0.05, 0.2, size=t.data.shape) * rng.choice(
                 [-1.0, 1.0], size=t.data.shape
             )
-        x = Tensor(rng.normal(size=(2, 12)))
-        w = rng.uniform(-1, 1, size=(4, 6))
+        x = Tensor(rng.normal(size=(1, 2, 12)))
+        w = rng.uniform(-1, 1, size=(1, 4, 6))
         tensors = [x] + list(builder.registry.values())
 
         def fn(*ts):
@@ -146,10 +147,10 @@ class TestFeatureExtractor:
         cfg = FeatureExtractorConfig.create("se_resnet_18")
         builder = ParamBuilder(seed=8)
         params = build_extractor(builder, cfg)
-        x = Tensor(np.random.default_rng(7).normal(size=(1, 3000)))
+        x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 3000)))
         feat, acts = feature_extractor_forward(x, cfg, params, "train")
-        assert feat.data.shape == (512,)
-        assert acts.data.shape == (512, extractor_output_length(cfg, 3000))
+        assert feat.data.shape == (1, 512)
+        assert acts.data.shape == (1, 512, extractor_output_length(cfg, 3000))
 
     def test_eighth_width_dimension_is_64(self):
         cfg = FeatureExtractorConfig.create("se_resnet_18", width_multiplier=0.125,
@@ -161,7 +162,7 @@ class TestFeatureExtractor:
                                             reduction_ratio=4)
         builder = ParamBuilder(seed=9)
         params = build_extractor(builder, cfg)
-        x = Tensor(np.zeros((1, 300)))
+        x = Tensor(np.zeros((1, 1, 300)))
         feat, _ = feature_extractor_forward(x, cfg, params, "train")
         np.testing.assert_allclose(feat.data, 0.0, atol=1e-15)
 

@@ -251,6 +251,33 @@ class TestTrainEvalExplain:
                      "--out-dir", str(tmp_path / "o")]) == 3
         assert "(field: samples)" in capsys.readouterr().err
 
+    def test_rate_mismatch_exits_2(self, tmp_path, capsys):
+        # a checkpoint trained at 8 Hz cannot read a 16 Hz cache: eval and
+        # explain both say so as a config error, before any forward pass
+        from sleepstager.blocks import FeatureExtractorConfig
+        from sleepstager.model import StagerConfig, build_stager_params, checkpoint_save
+
+        cfg = StagerConfig(
+            window_size=3,
+            extractor=FeatureExtractorConfig.create(
+                "se_resnet_18", width_multiplier=0.0625, reduction_ratio=4
+            ),
+            lstm_hidden=4, lstm_depth=1, sample_rate=8.0,
+        ).validate()
+        ckpt = tmp_path / "model.sstg"
+        checkpoint_save(build_stager_params(cfg), cfg, ckpt)
+        fast = tmp_path / "fast"
+        assert main(["synth", "--subjects", "1", "--epochs-per-subject", "4",
+                     "--sample-rate", "16", "--seed", "1",
+                     "--out-dir", str(fast)]) == 0
+        capsys.readouterr()
+        common = ["--checkpoint", str(ckpt), "--cache-dir", str(fast)]
+        assert main(["eval", *common, "--out-dir", str(tmp_path / "e")]) == 2
+        assert main(["explain", *common, "--subject", "synth-000",
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: cache rate 16.0 Hz != checkpoint's 8.0 Hz"] * 2
+
     def test_config_file_drives_training(self, synth_cache, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(

@@ -5,7 +5,7 @@ import pytest
 
 from sleepstager.blocks import FeatureExtractorConfig
 from sleepstager.data import synth_generate
-from sleepstager.errors import InvalidInput, IoError
+from sleepstager.errors import InvalidInput, IoError, ShapeError
 from sleepstager.explain import (
     Heatmap,
     cam_from,
@@ -100,6 +100,11 @@ class TestGradcam:
         h = gradcam(params, cfg, window, target=3)
         assert h.target_class == 3
 
+    def test_window_must_be_epochs_by_samples(self, trained):
+        cfg, params, data = trained
+        with pytest.raises(ShapeError):
+            gradcam(params, cfg, data[0].epochs[:3, None, :])
+
     def test_deterministic(self, trained):
         cfg, params, data = trained
         window = data[0].epochs[:3]
@@ -138,22 +143,29 @@ class TestGradcam:
         assert heatmap_mass_fraction(empty, [(0.0, 4.0)], sample_rate=1.0) == 0.0
 
     def test_consumes_the_returned_activation_tensor(self, trained):
-        # the activation map handed back by the window forward is a view of
-        # the tensor whose gradient drives the relevance map
-        from sleepstager.model import forward_window
+        # the map weights the middle epoch's row of the batch activations
+        # by the path-averaged gradients that reach that same row
+        from sleepstager.autodiff import Tape, backward, take_per_row, zero_grads
+        from sleepstager.explain import PATH_STEPS
 
         cfg, params, data = trained
         window = data[0].epochs[:3]
+        h = gradcam(params, cfg, window)
         out = forward_batch(window[None], params, cfg, "eval")
-        _, middle_acts = forward_window(window, params, cfg, mode="eval")
         mid = out.middle_rows[0]
-        assert np.array_equal(middle_acts.data, out.activations.data[mid])
-        # and within one forward, the returned map shares storage with the
-        # batch activations GradCAM differentiates
-        from sleepstager.autodiff import select_row
-
-        view = select_row(out.activations, mid)
-        assert np.shares_memory(view.data, out.activations.data)
+        grads = np.zeros_like(out.activations.data[mid])
+        tensors = list(params.registry.values())
+        for k in range(1, PATH_STEPS + 1):
+            zero_grads(tensors)
+            with Tape() as tape:
+                step = forward_batch(window[None] * (k / PATH_STEPS), params, cfg, "eval")
+                backward(take_per_row(step.log_probs, [h.target_class]), tape)
+            grads += step.activations.grad[mid]
+        zero_grads(tensors)
+        raw = cam_from(out.activations.data[mid], grads / PATH_STEPS)
+        assert h.raw_max == pytest.approx(float(raw.max()), rel=1e-12)
+        expected, _ = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
+        np.testing.assert_allclose(h.values, expected, rtol=1e-9, atol=1e-12)
 
 
 class TestExportFeatures:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sleepstager.autodiff import Tensor, grad_check, sum_all, take_per_row, scale
+from sleepstager.autodiff import grad_check, scale, sum_all, take_per_row
 from sleepstager.blocks import FeatureExtractorConfig
+from sleepstager.data import EpochSet, make_windows
 from sleepstager.errors import ConfigError, CorruptCheckpoint, ShapeError
 from sleepstager.model import (
     StagerConfig,
@@ -14,9 +15,8 @@ from sleepstager.model import (
     checkpoint_load,
     checkpoint_save,
     forward_batch,
-    forward_window,
-    predict,
 )
+from sleepstager.training import predict_epochs
 
 
 def tiny_config(window_size=3, seed=0, depth=2, hidden=8):
@@ -67,25 +67,27 @@ class TestForward:
         params = build_stager_params(cfg)
         rng = np.random.default_rng(0)
         window = rng.normal(size=(1, cfg.epoch_len))
-        log_probs, acts = forward_window(window, params, cfg, mode="train")
-        assert log_probs.data.shape == (5,)
-        assert acts.data.shape[0] == cfg.extractor.feature_dim
+        out = forward_batch(window[None], params, cfg, "train")
+        assert out.log_probs.data.shape == (1, 5)
+        assert out.activations.data.shape[:2] == (1, cfg.extractor.feature_dim)
 
     def test_log_probs_normalized(self, tiny_model):
         cfg, params = tiny_model
         rng = np.random.default_rng(1)
         for _ in range(5):
             window = rng.normal(size=(cfg.window_size, cfg.epoch_len))
-            log_probs, _ = forward_window(window, params, cfg, mode="train")
+            log_probs = forward_batch(window[None], params, cfg, "train").log_probs
             assert abs(np.exp(log_probs.data).sum() - 1.0) < 1e-12
 
     def test_wrong_window_or_length_rejected(self, tiny_model):
         cfg, params = tiny_model
         rng = np.random.default_rng(2)
         with pytest.raises(ShapeError):
-            forward_window(rng.normal(size=(5, cfg.epoch_len)), params, cfg, "train")
+            forward_batch(rng.normal(size=(1, 5, cfg.epoch_len)), params, cfg, "train")
         with pytest.raises(ShapeError):
-            forward_window(rng.normal(size=(3, 123)), params, cfg, "train")
+            forward_batch(rng.normal(size=(1, 3, 123)), params, cfg, "train")
+        with pytest.raises(ShapeError):
+            forward_batch(rng.normal(size=(3, cfg.epoch_len)), params, cfg, "train")
 
     def test_batch_equivariance(self, tiny_model):
         cfg, params = tiny_model
@@ -107,8 +109,8 @@ class TestForward:
             rng.normal(size=(2, cfg.window_size, cfg.epoch_len)), params, cfg, "train"
         )
         window = rng.normal(size=(cfg.window_size, cfg.epoch_len))
-        a, _ = forward_window(window, params, cfg, mode="eval")
-        b, _ = forward_window(window, params, cfg, mode="eval")
+        a = forward_batch(window[None], params, cfg, "eval").log_probs
+        b = forward_batch(window[None], params, cfg, "eval").log_probs
         assert np.array_equal(a.data, b.data)
 
     def test_composite_gradient_sampled(self):
@@ -134,6 +136,11 @@ class TestForward:
         assert grad_check(fn, tensors, entries=entries) < 1e-4
 
 
+def random_recording(cfg, rng, n):
+    return EpochSet(rng.normal(size=(n, cfg.epoch_len)), np.zeros(n), "s", "c",
+                    cfg.sample_rate)
+
+
 class TestPredict:
     def test_argmax_and_tie_rule(self, tiny_model):
         cfg, params = tiny_model
@@ -146,10 +153,10 @@ class TestPredict:
         try:
             w.data[:] = 0.0
             b.data[:] = [1.0, 0.0, 0.5, 0.0, 1.0]  # exact tie between 0 and 4
-            window = rng.normal(size=(cfg.window_size, cfg.epoch_len))
-            assert predict(window, params, cfg) == 0
+            es = random_recording(cfg, rng, 4)
+            np.testing.assert_array_equal(predict_epochs(params, cfg, es), 0)
             b.data[:] = [0.0, 0.0, 1.0, 0.0, 0.0]  # unique max at N2
-            assert predict(window, params, cfg) == 2
+            np.testing.assert_array_equal(predict_epochs(params, cfg, es), 2)
         finally:
             w.data, b.data = saved_w, saved_b
 
@@ -159,10 +166,23 @@ class TestPredict:
         forward_batch(
             rng.normal(size=(2, cfg.window_size, cfg.epoch_len)), params, cfg, "train"
         )
-        for _ in range(100):
-            window = rng.normal(size=(cfg.window_size, cfg.epoch_len))
-            log_probs, _ = forward_window(window, params, cfg, mode="eval")
-            assert predict(window, params, cfg) == int(np.argmax(log_probs.data))
+        es = random_recording(cfg, rng, 100)
+        windows = make_windows(es, cfg.window_size, 1, "replicate").gather(range(100))
+        log_probs = forward_batch(windows, params, cfg, "eval").log_probs
+        np.testing.assert_array_equal(
+            predict_epochs(params, cfg, es), np.argmax(log_probs.data, axis=1)
+        )
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON manifest in place; return it."""
+    blob = path.read_bytes()
+    mlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+    manifest = json.loads(blob[16 : 16 + mlen])
+    edit(manifest)
+    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + np.uint64(len(raw)).tobytes() + raw + blob[16 + mlen :])
+    return manifest
 
 
 class TestCheckpoint:
@@ -216,17 +236,27 @@ class TestCheckpoint:
         params = build_stager_params(cfg)
         path = tmp_path / "model.sstg"
         checkpoint_save(params, cfg, path)
-        blob = path.read_bytes()
-        mlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
-        manifest = json.loads(blob[16 : 16 + mlen])
-        manifest["tensors"][0]["shape"][0] += 1  # lie about the first tensor
-        first_name = manifest["tensors"][0]["name"]
-        raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        patched = (
-            blob[:8] + np.uint64(len(raw)).tobytes() + raw + blob[16 + mlen :]
-        )
-        bad = tmp_path / "bad.sstg"
-        bad.write_bytes(patched)
+
+        def lie_about_first_tensor(manifest):
+            manifest["tensors"][0]["shape"][0] += 1
+
+        manifest = rewrite_manifest(path, lie_about_first_tensor)
         with pytest.raises(CorruptCheckpoint) as e:
-            checkpoint_load(bad)
-        assert e.value.field == first_name
+            checkpoint_load(path)
+        assert e.value.field == manifest["tensors"][0]["name"]
+
+    @pytest.mark.parametrize("key, value", [("stride_eval", 2), ("num_classes", 4)])
+    def test_fixed_manifest_key_rejected(self, tmp_path, key, value):
+        # the manifest still carries stride_eval 1 and num_classes 5, which
+        # no config can change; any other value marks a corrupt manifest
+        cfg = tiny_config(seed=12)
+        assert cfg.to_dict()["stride_eval"] == 1
+        assert cfg.to_dict()["num_classes"] == 5
+        path = tmp_path / "model.sstg"
+        checkpoint_save(build_stager_params(cfg), cfg, path)
+        manifest = rewrite_manifest(path, lambda m: m["config"].update({key: value}))
+        with pytest.raises(CorruptCheckpoint) as e:
+            checkpoint_load(path)
+        assert e.value.field == "manifest"
+        with pytest.raises(ConfigError):
+            StagerConfig.from_dict(manifest["config"])

@@ -33,30 +33,30 @@ def random_cell(seed, input_size, hidden_size):
 class TestLSTMCell:
     def test_zero_parameters_fixed_point(self):
         p = zero_cell(3, 4)
-        x = Tensor([0.3, -1.2, 2.0])
-        h, c = lstm_cell_step(x, Tensor(np.zeros(4)), Tensor(np.zeros(4)), p)
-        np.testing.assert_array_equal(c.data, np.zeros(4))
-        np.testing.assert_array_equal(h.data, np.zeros(4))
+        x = Tensor([[0.3, -1.2, 2.0]])
+        h, c = lstm_cell_step(x, Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), p)
+        np.testing.assert_array_equal(c.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_gate_saturation_memory_hold(self):
         p = zero_cell(3, 4)
         p.b_f.data[:] = 10.0
         p.b_i.data[:] = -10.0
-        v = np.array([1.5, -0.7, 0.2, 2.0])
-        x = Tensor([0.5, 0.5, 0.5])
-        h, c = lstm_cell_step(x, Tensor(np.zeros(4)), Tensor(v.copy()), p)
+        v = np.array([[1.5, -0.7, 0.2, 2.0]])
+        x = Tensor([[0.5, 0.5, 0.5]])
+        h, c = lstm_cell_step(x, Tensor(np.zeros((1, 4))), Tensor(v.copy()), p)
         assert np.max(np.abs(c.data - v)) < 1e-3
 
     def test_bptt_gradient_three_steps(self):
         rng = np.random.default_rng(1)
         p, builder = random_cell(2, 3, 4)
-        xs = [Tensor(rng.normal(size=3)) for _ in range(3)]
-        w = rng.uniform(-1, 1, size=4)
+        xs = [Tensor(rng.normal(size=(1, 3))) for _ in range(3)]
+        w = rng.uniform(-1, 1, size=(1, 4))
         tensors = xs + list(builder.registry.values())
 
         def fn(*ts):
-            h = Tensor(np.zeros(4))
-            c = Tensor(np.zeros(4))
+            h = Tensor(np.zeros((1, 4)))
+            c = Tensor(np.zeros((1, 4)))
             for x_t in ts[:3]:
                 h, c = lstm_cell_step(x_t, h, c, p)
             return sum_all(mul(h, Tensor(w)))
@@ -64,6 +64,7 @@ class TestLSTMCell:
         assert grad_check(fn, tensors) < 1e-6
 
     def test_batched_matches_single(self):
+        # a batch of four against four batches of one
         rng = np.random.default_rng(2)
         p, _ = random_cell(3, 3, 5)
         xs = rng.normal(size=(4, 3))
@@ -71,17 +72,18 @@ class TestLSTMCell:
         cs = rng.normal(size=(4, 5))
         hb, cb = lstm_cell_step(Tensor(xs), Tensor(hs), Tensor(cs), p)
         for i in range(4):
-            h1, c1 = lstm_cell_step(Tensor(xs[i]), Tensor(hs[i]), Tensor(cs[i]), p)
-            np.testing.assert_allclose(hb.data[i], h1.data, rtol=1e-12)
-            np.testing.assert_allclose(cb.data[i], c1.data, rtol=1e-12)
+            one = slice(i, i + 1)
+            h1, c1 = lstm_cell_step(Tensor(xs[one]), Tensor(hs[one]), Tensor(cs[one]), p)
+            np.testing.assert_allclose(hb.data[i], h1.data[0], rtol=1e-12)
+            np.testing.assert_allclose(cb.data[i], c1.data[0], rtol=1e-12)
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(3)
         p, _ = random_cell(4, 2, 6)
-        h = Tensor(np.zeros(6))
-        c = Tensor(np.zeros(6))
+        h = Tensor(np.zeros((1, 6)))
+        c = Tensor(np.zeros((1, 6)))
         for _ in range(50):
-            h, c = lstm_cell_step(Tensor(rng.normal(scale=3.0, size=2)), h, c, p)
+            h, c = lstm_cell_step(Tensor(rng.normal(scale=3.0, size=(1, 2))), h, c, p)
             assert np.all(np.abs(h.data) <= 1.0)
 
 
@@ -90,38 +92,39 @@ class TestBiLSTMLayer:
         rng = np.random.default_rng(4)
         fwd, _ = random_cell(5, 3, 4)
         bwd, _ = random_cell(6, 3, 4)
-        x = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(1, 3)))
         out = bilstm_layer_forward([x], (fwd, bwd))
         assert len(out) == 1
-        hf, _ = lstm_cell_step(x, Tensor(np.zeros(4)), Tensor(np.zeros(4)), fwd)
-        hb, _ = lstm_cell_step(x, Tensor(np.zeros(4)), Tensor(np.zeros(4)), bwd)
-        np.testing.assert_allclose(out[0].data, np.concatenate([hf.data, hb.data]))
+        zeros = Tensor(np.zeros((1, 4)))
+        hf, _ = lstm_cell_step(x, zeros, zeros, fwd)
+        hb, _ = lstm_cell_step(x, zeros, zeros, bwd)
+        np.testing.assert_allclose(out[0].data, np.concatenate([hf.data, hb.data], axis=1))
 
     def test_palindrome_with_tied_cells(self):
         rng = np.random.default_rng(5)
         cell, _ = random_cell(7, 3, 4)
-        a, b, c = [rng.normal(size=3) for _ in range(3)]
+        a, b, c = [rng.normal(size=(1, 3)) for _ in range(3)]
         seq = [Tensor(v) for v in (a, b, c, b, a)]
         out = bilstm_layer_forward(seq, (cell, cell))
         t_len = len(seq)
         for t in range(t_len):
             np.testing.assert_allclose(
-                out[t].data[:4], out[t_len - 1 - t].data[4:], rtol=1e-12
+                out[t].data[:, :4], out[t_len - 1 - t].data[:, 4:], rtol=1e-12
             )
 
     def test_reversal_swaps_directions(self):
         rng = np.random.default_rng(6)
         fwd, _ = random_cell(8, 3, 4)
         bwd, _ = random_cell(9, 3, 4)
-        seq = [Tensor(rng.normal(size=3)) for _ in range(5)]
+        seq = [Tensor(rng.normal(size=(1, 3))) for _ in range(5)]
         out = bilstm_layer_forward(seq, (fwd, bwd))
         out_rev = bilstm_layer_forward(list(reversed(seq)), (bwd, fwd))
         for t in range(5):
             np.testing.assert_allclose(
-                out[t].data[:4], out_rev[4 - t].data[4:], rtol=1e-12
+                out[t].data[:, :4], out_rev[4 - t].data[:, 4:], rtol=1e-12
             )
             np.testing.assert_allclose(
-                out[t].data[4:], out_rev[4 - t].data[:4], rtol=1e-12
+                out[t].data[:, 4:], out_rev[4 - t].data[:, :4], rtol=1e-12
             )
 
     def test_empty_sequence_rejected(self):
@@ -134,8 +137,8 @@ class TestBiLSTMLayer:
         builder = ParamBuilder(seed=11)
         fwd = build_lstm_cell(builder, "f", 2, 3)
         bwd = build_lstm_cell(builder, "b", 2, 3)
-        xs = [Tensor(rng.normal(size=2)) for _ in range(5)]
-        w = rng.uniform(-1, 1, size=6)
+        xs = [Tensor(rng.normal(size=(1, 2))) for _ in range(5)]
+        w = rng.uniform(-1, 1, size=(1, 6))
 
         def fn(*ts):
             out = bilstm_layer_forward(list(ts[:5]), (fwd, bwd))
@@ -149,7 +152,7 @@ class TestStack:
         rng = np.random.default_rng(8)
         builder = ParamBuilder(seed=12)
         stack = build_bilstm_stack(builder, "stk", 3, 4, 1)
-        seq = [Tensor(rng.normal(size=3)) for _ in range(4)]
+        seq = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
         a = stack_forward(seq, stack)
         b = bilstm_layer_forward(seq, stack.layers[0])
         for x, y in zip(a, b):
@@ -159,17 +162,17 @@ class TestStack:
         rng = np.random.default_rng(9)
         builder = ParamBuilder(seed=13)
         stack = build_bilstm_stack(builder, "stk", 6, 5, 3)
-        seq = [Tensor(rng.normal(size=6)) for _ in range(9)]
+        seq = [Tensor(rng.normal(size=(1, 6))) for _ in range(9)]
         out = stack_forward(seq, stack)
         assert len(out) == 9
-        assert all(o.data.shape == (10,) for o in out)
+        assert all(o.data.shape == (1, 10) for o in out)
 
     def test_output_length_matches_input_every_layer(self):
         rng = np.random.default_rng(10)
         builder = ParamBuilder(seed=14)
         stack = build_bilstm_stack(builder, "stk", 3, 4, 2)
         for t_len in (1, 2, 7):
-            seq = [Tensor(rng.normal(size=3)) for _ in range(t_len)]
+            seq = [Tensor(rng.normal(size=(1, 3))) for _ in range(t_len)]
             assert len(stack_forward(seq, stack)) == t_len
 
     def test_dimension_mismatch_between_layers(self):
@@ -179,7 +182,7 @@ class TestStack:
         l1 = (build_lstm_cell(builder, "b.f", 5, 4),
               build_lstm_cell(builder, "b.b", 5, 4))
         stack = BiLSTMStackParams([l0, l1])
-        seq = [Tensor(np.zeros(3))]
+        seq = [Tensor(np.zeros((1, 3)))]
         with pytest.raises(ConfigError):
             stack_forward(seq, stack)
 
@@ -192,8 +195,8 @@ class TestStack:
         rng = np.random.default_rng(11)
         builder = ParamBuilder(seed=17)
         stack = build_bilstm_stack(builder, "stk", 2, 2, 2)
-        xs = [Tensor(rng.normal(size=2)) for _ in range(3)]
-        w = rng.uniform(-1, 1, size=4)
+        xs = [Tensor(rng.normal(size=(1, 2))) for _ in range(3)]
+        w = rng.uniform(-1, 1, size=(1, 4))
 
         def fn(*ts):
             out = stack_forward(list(ts[:3]), stack)
