@@ -27,43 +27,33 @@ from .errors import ConfigError, ShapeError
 
 RESNET_BASE_WIDTHS = (64, 128, 256, 512)
 BLOCKS_PER_STAGE = {"se_resnet_18": (2, 2, 2, 2), "se_resnet_34": (3, 4, 6, 3)}
+STEM_KERNEL = 7
+STEM_STRIDE = 2
 
 
 @dataclass
 class FeatureExtractorConfig:
-    variant: str = "se_resnet_18"
-    stem_kernel: int = 7
-    stem_stride: int = 2
-    stage_widths: tuple = RESNET_BASE_WIDTHS
-    blocks_per_stage: tuple = (2, 2, 2, 2)
-    reduction_ratio: int = 16
-    width_multiplier: float = 1.0
+    """The three settings of the extractor; its stage shapes derive from them.
 
+    The variant fixes the residual blocks per stage, and the width
+    multiplier scales ResNet's stage widths (64, 128, 256, 512).
+    """
+
+    variant: str = "se_resnet_18"
+    width_multiplier: float = 1.0
+    reduction_ratio: int = 16
+
+    # the defaults are the field defaults above
     @classmethod
-    def create(cls, variant="se_resnet_18", width_multiplier=1.0, reduction_ratio=16):
-        if variant not in BLOCKS_PER_STAGE:
-            raise ConfigError(f"unknown extractor variant: {variant!r}")
-        widths = tuple(
-            int(round(w * width_multiplier)) for w in RESNET_BASE_WIDTHS
-        )
-        cfg = cls(
-            variant=variant,
-            stage_widths=widths,
-            blocks_per_stage=BLOCKS_PER_STAGE[variant],
-            reduction_ratio=reduction_ratio,
-            width_multiplier=width_multiplier,
-        )
+    def create(cls, variant=variant, width_multiplier=width_multiplier,
+               reduction_ratio=reduction_ratio):
+        cfg = cls(variant, width_multiplier, reduction_ratio)
         cfg.validate()
         return cfg
 
     def validate(self):
         if self.variant not in BLOCKS_PER_STAGE:
             raise ConfigError(f"unknown extractor variant: {self.variant!r}")
-        if tuple(self.blocks_per_stage) != BLOCKS_PER_STAGE[self.variant]:
-            raise ConfigError(
-                f"{self.variant} requires blocks_per_stage "
-                f"{BLOCKS_PER_STAGE[self.variant]}, got {self.blocks_per_stage}"
-            )
         r = self.reduction_ratio
         if r < 1:
             raise ConfigError("reduction_ratio must be >= 1")
@@ -74,14 +64,24 @@ class FeatureExtractorConfig:
                 raise ConfigError(f"stage width {w} not divisible by reduction {r}")
 
     @property
+    def stage_widths(self):
+        return tuple(
+            int(round(w * self.width_multiplier)) for w in RESNET_BASE_WIDTHS
+        )
+
+    @property
+    def blocks_per_stage(self):
+        return BLOCKS_PER_STAGE[self.variant]
+
+    @property
     def feature_dim(self):
         return self.stage_widths[-1]
 
     def to_dict(self):
         return {
             "variant": self.variant,
-            "stem_kernel": self.stem_kernel,
-            "stem_stride": self.stem_stride,
+            "stem_kernel": STEM_KERNEL,
+            "stem_stride": STEM_STRIDE,
             "stage_widths": list(self.stage_widths),
             "blocks_per_stage": list(self.blocks_per_stage),
             "reduction_ratio": self.reduction_ratio,
@@ -90,16 +90,16 @@ class FeatureExtractorConfig:
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls(
-            variant=d["variant"],
-            stem_kernel=int(d["stem_kernel"]),
-            stem_stride=int(d["stem_stride"]),
-            stage_widths=tuple(int(w) for w in d["stage_widths"]),
-            blocks_per_stage=tuple(int(b) for b in d["blocks_per_stage"]),
-            reduction_ratio=int(d["reduction_ratio"]),
-            width_multiplier=float(d["width_multiplier"]),
+        """Rebuild from the three settings; the derived keys must agree."""
+        cfg = cls.create(
+            d["variant"], float(d["width_multiplier"]), int(d["reduction_ratio"])
         )
-        cfg.validate()
+        for key, value in cfg.to_dict().items():
+            if d[key] != value:
+                raise ConfigError(
+                    f"extractor {key} {d[key]} != {value} of {cfg.variant} "
+                    f"at width multiplier {cfg.width_multiplier}"
+                )
         return cfg
 
 
@@ -214,7 +214,7 @@ def build_basic_block(builder, name, c_in, c_out, stride, reduction_ratio):
 
 def build_extractor(builder, cfg, prefix="extractor"):
     widths = cfg.stage_widths
-    stem_conv = ConvParams(builder.weight(f"{prefix}.stem.w", [widths[0], 1, cfg.stem_kernel]))
+    stem_conv = ConvParams(builder.weight(f"{prefix}.stem.w", [widths[0], 1, STEM_KERNEL]))
     stem_bn = builder.bn(f"{prefix}.stem.bn", widths[0])
     params = FeatureExtractorParams(stem_conv, stem_bn)
     c_in = widths[0]
@@ -265,9 +265,8 @@ def feature_extractor_forward(x, cfg, params, mode):
     xd = x.data
     if xd.ndim != 3 or xd.shape[1] != 1:
         raise ShapeError(f"feature_extractor_forward: expected [N,1,L], got {xd.shape}")
-    pad = (cfg.stem_kernel - 1) // 2
     h = conv1d(x, params.stem_conv.w, params.stem_conv.b,
-               stride=cfg.stem_stride, padding=pad)
+               stride=STEM_STRIDE, padding=(STEM_KERNEL - 1) // 2)
     h = relu(batchnorm1d(h, params.stem_bn.gamma, params.stem_bn.beta,
                          params.stem_bn.state, mode))
     h = max_pool1d(h, 3, 2)
@@ -279,8 +278,8 @@ def feature_extractor_forward(x, cfg, params, mode):
 
 def extractor_output_length(cfg, epoch_len):
     """Length of the final activation map for a given epoch length."""
-    pad = (cfg.stem_kernel - 1) // 2
-    l = (epoch_len + 2 * pad - cfg.stem_kernel) // cfg.stem_stride + 1
+    pad = (STEM_KERNEL - 1) // 2
+    l = (epoch_len + 2 * pad - STEM_KERNEL) // STEM_STRIDE + 1
     l = (l - 3) // 2 + 1
     for s in range(4):
         for b in range(cfg.blocks_per_stage[s]):

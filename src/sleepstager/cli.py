@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import STAGES
 from .config import KEYS, RunConfig, load_config_file, model_config_from, train_config_from
 from .data import (
@@ -91,8 +89,8 @@ def _run_config(args):
     return RunConfig(flag_values=flag_values, file_values=file_values)
 
 
-def _stage_counts(labels):
-    counts = np.bincount(labels, minlength=len(STAGES))
+def _stage_counts(es):
+    counts = es.stage_counts()
     out = {name: int(c) for name, c in zip(STAGES, counts)}
     out["Total"] = int(counts.sum())
     return out
@@ -117,10 +115,14 @@ def _check_rate(rate, model_cfg):
         )
 
 
-def _find_hypnogram(edf_path, fmt):
+def _subject_of(edf_path):
+    """The recording's stem: ``NAME-PSG.edf`` and ``NAME.edf`` give ``NAME``."""
     stem = edf_path.name[: -len(edf_path.suffix)]
-    if stem.endswith("-PSG"):
-        stem = stem[: -len("-PSG")]
+    return stem[: -len("-PSG")] if stem.endswith("-PSG") else stem
+
+
+def _find_hypnogram(edf_path, fmt):
+    stem = _subject_of(edf_path)
     if fmt == "csv":
         candidates = [f"{stem}.csv", f"{stem}.hyp.csv"]
     else:
@@ -149,9 +151,7 @@ def cmd_prepare(args):
         raise EmptyDataset(f"no EDF recordings under {edf_dir}")
     manifest = {"subjects": [], "failures": []}
     for path in signal_files:
-        subject = path.name[: -len(path.suffix)]
-        if subject.endswith("-PSG"):
-            subject = subject[: -len("-PSG")]
+        subject = _subject_of(path)
         try:
             recording = parse_edf_file(path)
             hyp = parse_hypnogram(_find_hypnogram(path, fmt), fmt)
@@ -165,7 +165,7 @@ def cmd_prepare(args):
                     "id": subject,
                     "source": path.name,
                     "sample_rate": es.sample_rate,
-                    "epoch_counts": _stage_counts(es.labels),
+                    "epoch_counts": _stage_counts(es),
                 }
             )
         except StagerError as e:
@@ -204,7 +204,7 @@ def cmd_synth(args):
             },
         )
         manifest["subjects"].append(
-            {"id": es.subject_id, "epoch_counts": _stage_counts(es.labels)}
+            {"id": es.subject_id, "epoch_counts": _stage_counts(es)}
         )
     _write_json(out_dir / "manifest.json", manifest)
     print(f"generated {len(sets)} synthetic subjects -> {out_dir}")
@@ -310,8 +310,7 @@ def cmd_explain(args):
                 f"epoch index {idx} outside 0..{len(es) - 1} for {subject}"
             )
         window = view.gather([idx])[0]
-        heatmap = gradcam(params, model_cfg, window,
-                          gradient_source=run["gradient_source"])
+        heatmap = gradcam(params, model_cfg, window)
         base = out_dir / f"{subject}_epoch{idx:05d}"
         render_heatmap(heatmap, es.epochs[idx], base)
         summary["epochs"].append(
@@ -350,16 +349,15 @@ _COMMANDS = {
         cmd_train,
         "train the stager on prepared caches",
         ("cache_dir", "variant", "width_multiplier", "reduction_ratio",
-         "window_size", "lstm_hidden", "lstm_depth", "head_widths", "epochs",
-         "batch_size", "lr", "stride_train", "seed", "shuffle", "out_dir"),
+         "window_size", "lstm_hidden", "lstm_depth", "epochs", "batch_size",
+         "lr", "stride_train", "seed", "shuffle", "out_dir"),
     ),
     "cv": (
         cmd_cv,
         "subject-wise k-fold cross-validation with pooled metrics",
         ("cache_dir", "variant", "width_multiplier", "reduction_ratio",
-         "window_size", "lstm_hidden", "lstm_depth", "head_widths", "epochs",
-         "batch_size", "lr", "stride_train", "seed", "shuffle", "k", "jobs",
-         "out_dir"),
+         "window_size", "lstm_hidden", "lstm_depth", "epochs", "batch_size",
+         "lr", "stride_train", "seed", "shuffle", "k", "jobs", "out_dir"),
     ),
     "eval": (
         cmd_eval,
@@ -370,7 +368,7 @@ _COMMANDS = {
         cmd_explain,
         "GradCAM heatmaps (CSV + SVG) and optional feature export",
         ("checkpoint", "cache_dir", "subject", "epoch_indices",
-         "gradient_source", "export_features", "out_dir"),
+         "export_features", "out_dir"),
     ),
 }
 

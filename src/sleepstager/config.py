@@ -3,13 +3,16 @@
 The config file is INI-style ``key = value`` under ``[section]`` headers.
 Precedence per key is flag > config file > default. Unknown file keys are
 rejected before any work starts; flag and file values go through the same
-converter so both surfaces behave identically.
+converter so both surfaces behave identically. The model and training keys
+take their defaults from the config dataclasses they fill. The parts of the
+paper's design that hold one value (the stem, the linear softmax head, the
+log-probability GradCAM explains) are constants, not keys.
 """
 
 import configparser
 from dataclasses import dataclass
 
-from .blocks import FeatureExtractorConfig
+from .blocks import BLOCKS_PER_STAGE, FeatureExtractorConfig
 from .errors import ConfigError
 from .model import StagerConfig
 from .training import TrainConfig
@@ -41,31 +44,36 @@ KEYS = {
         KeySpec("cache_dir", "data", "str", None,
                 "directory of prepared .sepc epoch caches"),
         # model
-        KeySpec("variant", "model", "choice", "se_resnet_18",
-                "feature extractor variant",
-                choices=("se_resnet_18", "se_resnet_34")),
-        KeySpec("width_multiplier", "model", "float", 1.0,
-                "scales the extractor stage widths (desk-scale shrinking)"),
-        KeySpec("reduction_ratio", "model", "int", 16,
+        KeySpec("variant", "model", "choice", FeatureExtractorConfig.variant,
+                "feature extractor variant; sets the residual blocks per stage",
+                choices=tuple(BLOCKS_PER_STAGE)),
+        KeySpec("width_multiplier", "model", "float",
+                FeatureExtractorConfig.width_multiplier,
+                "scales the extractor stage widths 64, 128, 256, 512 "
+                "(desk-scale shrinking)"),
+        KeySpec("reduction_ratio", "model", "int",
+                FeatureExtractorConfig.reduction_ratio,
                 "squeeze-and-excitation bottleneck reduction"),
-        KeySpec("window_size", "model", "int", 9,
+        KeySpec("window_size", "model", "int", StagerConfig.window_size,
                 "odd number of epochs per window"),
-        KeySpec("lstm_hidden", "model", "int", 128,
+        KeySpec("lstm_hidden", "model", "int", StagerConfig.lstm_hidden,
                 "hidden size per LSTM direction"),
-        KeySpec("lstm_depth", "model", "int", 3, "stacked Bi-LSTM layers"),
-        KeySpec("head_widths", "model", "intlist", (5,),
-                "comma-separated output widths of the head layers (last must be 5)"),
+        KeySpec("lstm_depth", "model", "int", StagerConfig.lstm_depth,
+                "stacked Bi-LSTM layers"),
         # training
-        KeySpec("epochs", "train", "int", 45, "training passes over the windows"),
-        KeySpec("batch_size", "train", "int", 128, "windows per optimizer step"),
-        KeySpec("lr", "train", "float", 0.001,
+        KeySpec("epochs", "train", "int", TrainConfig.epochs,
+                "training passes over the windows"),
+        KeySpec("batch_size", "train", "int", TrainConfig.batch_size,
+                "windows per optimizer step"),
+        KeySpec("lr", "train", "float", TrainConfig.lr,
                 "Adam learning rate at stride 1; stride s trains at lr * s"),
-        KeySpec("stride_train", "train", "int", 4,
+        KeySpec("stride_train", "train", "int", TrainConfig.stride_train,
                 "training window stride s: each epoch uses 1/s of the windows, "
                 "at a phase per recording that changes every epoch "
                 "(evaluation always uses 1)"),
-        KeySpec("seed", "train", "int", 0, "master seed for init and shuffling"),
-        KeySpec("shuffle", "train", "bool", True,
+        KeySpec("seed", "train", "int", TrainConfig.seed,
+                "master seed for init and shuffling"),
+        KeySpec("shuffle", "train", "bool", TrainConfig.shuffle,
                 "reshuffle training windows every epoch"),
         # cross-validation
         KeySpec("k", "cv", "int", 20, "number of subject-wise folds"),
@@ -82,10 +90,6 @@ KEYS = {
                 "subject id (cache stem) to explain"),
         KeySpec("epoch_indices", "explain", "intlist", (0,),
                 "comma-separated epoch indices to explain"),
-        KeySpec("gradient_source", "explain", "choice", "log_prob",
-                "relevance gradient source; logit localizes worse than the "
-                "default (0.77 against 1.00 of N2 maps on the events in a "
-                "synthetic test)", choices=("log_prob", "logit")),
         KeySpec("export_features", "explain", "bool", False,
                 "also write the per-epoch feature matrix CSV"),
         # output
@@ -185,7 +189,6 @@ def model_config_from(run, sample_rate, seed=None):
         extractor=extractor,
         lstm_hidden=run["lstm_hidden"],
         lstm_depth=run["lstm_depth"],
-        head_widths=tuple(run["head_widths"]),
         sample_rate=sample_rate,
         seed=run["seed"] if seed is None else seed,
     )

@@ -150,10 +150,18 @@ def load_epochset(path):
         rate = float(np.frombuffer(_need(f, 8, "sample_rate"), dtype="<f8")[0])
         n = int(np.frombuffer(_need(f, 8, "n_epochs"), dtype="<u8")[0])
         l_epoch = int(np.frombuffer(_need(f, 8, "epoch_len"), dtype="<u8")[0])
-        labels = np.frombuffer(_need(f, n, "labels"), dtype=np.uint8).astype(np.int8)
+        if not abs(l_epoch - 30.0 * rate) <= 1e-6:
+            raise CorruptCache(f"epoch length {l_epoch} != 30 s at {rate} Hz",
+                               field="sample_rate")
+        stages = np.frombuffer(_need(f, n, "labels"), dtype=np.uint8)
+        if n and stages.max() >= NUM_STAGES:
+            raise CorruptCache(
+                f"stage byte {stages.max()} outside 0..{NUM_STAGES - 1}",
+                field="labels",
+            )
         samples = np.frombuffer(
             _need(f, n * l_epoch * 4, "samples"), dtype="<f4"
         ).astype(np.float64).reshape(n, l_epoch)
         if f.read(1):
             raise CorruptCache("trailing bytes after samples", field="samples")
-    return EpochSet(samples, labels, subject_id, "", rate)
+    return EpochSet(samples, stages, subject_id, "", rate)

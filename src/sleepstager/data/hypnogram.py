@@ -70,9 +70,6 @@ class Hypnogram:
     def __len__(self):
         return len(self.labels)
 
-    def scored_count(self):
-        return int(np.sum(self.labels != EXCLUDED))
-
 
 def hypnogram_from_annotations(annotations):
     """Expand ``(onset_s, duration_s, stage_string)`` rows into epoch labels."""

@@ -3,9 +3,10 @@
 GradCAM over one window: differentiate the target-class score with respect
 to the middle epoch's final conv activation map, average the gradients per
 channel into weights, rectify the weighted activation sum, then upsample
-to signal length and min-max normalize. The gradient source defaults to
-the log-probability the model is trained on; the raw logit is available
-for comparison.
+to signal length and min-max normalize. The score differentiated is the
+target class's log-probability, the quantity the model is trained on. The
+raw logit localizes worse: on a synthetic test it put half the relevance
+on the events for 0.77 of N2 maps, against 1.00 for the log-probability.
 
 The gradients are averaged along a straight path of ``PATH_STEPS``
 copies of the window, scaled from near zero up to the window itself: the
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import NUM_STAGES, STAGES
 from .autodiff import Tape, backward, take_per_row, zero_grads
-from .errors import ConfigError, InvalidInput, IoError
-from .model import EVAL_BATCH, encode_epochs, forward_batch
+from .errors import InvalidInput, IoError
+from .model import encode_epochs, forward_batch
 
 PATH_STEPS = 16
 
@@ -66,15 +67,13 @@ def normalize_minmax(values):
     return (values - lo) / (hi - lo), False
 
 
-def gradcam(params, cfg, window, target=None, gradient_source="log_prob"):
+def gradcam(params, cfg, window, target=None):
     """Relevance heatmap for the middle epoch of one window ``[W, L]`` (eval mode).
 
     The target defaults to the class predicted for the unscaled window;
     the channel weights come from the path-averaged gradients and weight
     the unscaled window's activations.
     """
-    if gradient_source not in ("log_prob", "logit"):
-        raise ConfigError(f"unknown gradient source {gradient_source!r}")
     arr = np.asarray(window, dtype=np.float64)
     out = forward_batch(arr[None], params, cfg, "eval")
     predicted = int(np.argmax(out.log_probs.data[0]))
@@ -88,8 +87,7 @@ def gradcam(params, cfg, window, target=None, gradient_source="log_prob"):
         zero_grads(tensors)
         with Tape() as tape:
             out = forward_batch(arr[None] * (k / PATH_STEPS), params, cfg, "eval")
-            source = out.log_probs if gradient_source == "log_prob" else out.logits
-            score = take_per_row(source, np.array([chosen]))
+            score = take_per_row(out.log_probs, np.array([chosen]))
             backward(score, tape)
         grads += out.activations.grad[out.middle_rows[0]]
     zero_grads(tensors)
@@ -119,18 +117,18 @@ def heatmap_mass_fraction(heatmap, intervals, sample_rate, pad_s=0.0):
     return float(heatmap.values[mask].sum()) / total
 
 
-def export_features(params, cfg, epoch_set, batch_size=EVAL_BATCH):
+def export_features(params, cfg, epoch_set):
     """Per-epoch extractor feature matrix ``[N, D]`` plus the stage labels.
 
     The features come from ``encode_epochs``, the extractor pass that
     evaluation scores from: each epoch once, in eval mode.
     """
-    features = encode_epochs(epoch_set.epochs, params, cfg, batch_size)
+    features = encode_epochs(epoch_set.epochs, params, cfg)
     return features, epoch_set.labels.copy()
 
 
-def export_features_csv(params, cfg, epoch_set, path, batch_size=EVAL_BATCH):
-    features, labels = export_features(params, cfg, epoch_set, batch_size)
+def export_features_csv(params, cfg, epoch_set, path):
+    features, labels = export_features(params, cfg, epoch_set)
     try:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)

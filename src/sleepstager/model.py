@@ -1,11 +1,12 @@
 """The full stager: feature extractor + Bi-LSTM stack + middle-epoch head.
 
 A window of W consecutive epochs runs through the shared extractor, the
-per-epoch features form a sequence for the stacked Bi-LSTM, and the linear
-head reads the sequence output at the middle position (W-1)/2. To score a
-whole recording, ``forward_recording`` encodes each epoch once and builds
-the windows from the features. Every entry point takes a batch: windows
-``[B, W, L]`` in ``forward_batch`` and a recording's epochs ``[N, L]`` in
+per-epoch features form a sequence for the stacked Bi-LSTM, and one linear
+softmax head reads the sequence output at the middle position (W-1)/2. To
+score a whole recording, ``forward_recording`` encodes each epoch once, in
+extractor calls of ``EVAL_BATCH`` epochs, and builds the windows from the
+features. Every entry point takes a batch: windows ``[B, W, L]`` in
+``forward_batch`` and a recording's epochs ``[N, L]`` in
 ``forward_recording``; GradCAM runs its window as a batch of one.
 Checkpoints serialize every learnable tensor plus batchnorm running state
 bit-exactly.
@@ -23,7 +24,6 @@ from .autodiff import (
     add_rowvec,
     log_softmax,
     matmul,
-    relu,
     reshape,
     take_rows,
     transpose,
@@ -44,7 +44,11 @@ CHECKPOINT_VERSION = 1
 EVAL_BATCH = 32
 # manifest keys with one legal value: checkpoints still carry them, so the
 # file format is unchanged, but no config can set them
-_FIXED_MANIFEST_KEYS = {"stride_eval": 1, "num_classes": NUM_STAGES}
+_FIXED_MANIFEST_KEYS = {
+    "stride_eval": 1,
+    "num_classes": NUM_STAGES,
+    "head_widths": [NUM_STAGES],
+}
 
 
 @dataclass
@@ -56,7 +60,6 @@ class StagerConfig:
     )
     lstm_hidden: int = 128
     lstm_depth: int = 3
-    head_widths: tuple = (NUM_STAGES,)
     sample_rate: float = 100.0
     seed: int = 0
 
@@ -67,12 +70,6 @@ class StagerConfig:
             )
         if self.stride_train < 1:
             raise ConfigError("stride_train must be >= 1")
-        if not self.head_widths or self.head_widths[-1] != NUM_STAGES:
-            raise ConfigError(
-                f"head widths must end in {NUM_STAGES}, got {self.head_widths}"
-            )
-        if any(w < 1 for w in self.head_widths):
-            raise ConfigError("head widths must be positive")
         if self.lstm_hidden < 1 or self.lstm_depth < 1:
             raise ConfigError("lstm hidden size and depth must be >= 1")
         rate_samples = 30.0 * self.sample_rate
@@ -99,7 +96,6 @@ class StagerConfig:
             "extractor": self.extractor.to_dict(),
             "lstm_hidden": self.lstm_hidden,
             "lstm_depth": self.lstm_depth,
-            "head_widths": list(self.head_widths),
             "sample_rate": self.sample_rate,
             "seed": self.seed,
         }
@@ -107,7 +103,7 @@ class StagerConfig:
     @classmethod
     def from_dict(cls, d):
         for key, value in _FIXED_MANIFEST_KEYS.items():
-            if int(d[key]) != value:
+            if d[key] != value:
                 raise ConfigError(f"{key} is fixed at {value}, got {d[key]}")
         cfg = cls(
             window_size=int(d["window_size"]),
@@ -115,7 +111,6 @@ class StagerConfig:
             extractor=FeatureExtractorConfig.from_dict(d["extractor"]),
             lstm_hidden=int(d["lstm_hidden"]),
             lstm_depth=int(d["lstm_depth"]),
-            head_widths=tuple(int(w) for w in d["head_widths"]),
             sample_rate=float(d["sample_rate"]),
             seed=int(d["seed"]),
         )
@@ -129,7 +124,7 @@ class StagerConfig:
 class StagerParams:
     extractor: object
     stack: object
-    head: list  # [(w, b), ...]
+    head: tuple  # (w [5, 2H], b [5])
     registry: dict  # stable name -> learnable Tensor
     states: dict  # batchnorm name -> BatchNormState
 
@@ -141,42 +136,31 @@ def build_stager_params(cfg):
     stack = build_bilstm_stack(
         builder, "lstm", cfg.extractor.feature_dim, cfg.lstm_hidden, cfg.lstm_depth
     )
-    head = []
-    in_dim = 2 * cfg.lstm_hidden
-    for i, width in enumerate(cfg.head_widths):
-        w = builder.weight(f"head.{i}.w", [width, in_dim])
-        b = builder.const(f"head.{i}.b", [width])
-        head.append((w, b))
-        in_dim = width
+    head = (
+        builder.weight("head.0.w", [NUM_STAGES, 2 * cfg.lstm_hidden]),
+        builder.const("head.0.b", [NUM_STAGES]),
+    )
     return StagerParams(extractor, stack, head, builder.registry, builder.states)
-
-
-def _head_forward(h, head):
-    for i, (w, b) in enumerate(head):
-        if i > 0:
-            h = relu(h)
-        h = add_rowvec(matmul(h, transpose(w)), b)
-    return h
 
 
 @dataclass
 class WindowForward:
     log_probs: Tensor  # [B, 5]
-    logits: Tensor  # [B, 5]
     activations: Tensor  # [B*W, C_last, L_last], final conv maps of every epoch
     middle_rows: np.ndarray  # row indices of the middle epochs in `activations`
 
 
 def _classify(feats, spans, params, cfg):
-    """Logits and log-probabilities of windows of per-epoch features.
+    """Log-probabilities ``[B, 5]`` of windows of per-epoch features.
 
     Row ``b`` of ``spans`` ``[B, W]`` lists the rows of ``feats`` that make
     window b; the Bi-LSTM reads them in order and the head its middle output.
     """
     seq = [take_rows(feats, spans[:, t]) for t in range(cfg.window_size)]
     outs = stack_forward(seq, params.stack)
-    logits = _head_forward(outs[cfg.middle_index], params.head)
-    return logits, log_softmax(logits, axis=1)
+    w, b = params.head
+    logits = add_rowvec(matmul(outs[cfg.middle_index], transpose(w)), b)
+    return log_softmax(logits, axis=1)
 
 
 def forward_batch(windows, params, cfg, mode):
@@ -193,31 +177,27 @@ def forward_batch(windows, params, cfg, mode):
     x = reshape(x, (b * w, 1, l))
     feats, acts = feature_extractor_forward(x, cfg.extractor, params.extractor, mode)
     rows = np.arange(b * w).reshape(b, w)
-    logits, log_probs = _classify(feats, rows, params, cfg)
     return WindowForward(
-        log_probs=log_probs,
-        logits=logits,
+        log_probs=_classify(feats, rows, params, cfg),
         activations=acts,
         middle_rows=rows[:, cfg.middle_index],
     )
 
 
-def encode_epochs(epochs, params, cfg, batch_size=EVAL_BATCH):
+def encode_epochs(epochs, params, cfg):
     """Eval-mode extractor features ``[N, D]`` of epochs ``[N, L_epoch]``.
 
     Each epoch goes through the extractor once, in calls of at most
-    ``batch_size`` epochs, which bounds the memory of the conv maps.
+    ``EVAL_BATCH`` epochs, which bounds the memory of the conv maps.
     """
     epochs = np.asarray(epochs)
     if epochs.ndim != 2 or epochs.shape[1] != cfg.epoch_len:
         raise ShapeError(
             f"expected epochs [N, {cfg.epoch_len}], got {epochs.shape}"
         )
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
     out = np.empty((len(epochs), cfg.extractor.feature_dim))
-    for start in range(0, len(epochs), batch_size):
-        stop = min(start + batch_size, len(epochs))
+    for start in range(0, len(epochs), EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, len(epochs))
         feats, _ = feature_extractor_forward(
             Tensor(epochs[start:stop, None, :]), cfg.extractor, params.extractor,
             "eval",
@@ -226,16 +206,15 @@ def encode_epochs(epochs, params, cfg, batch_size=EVAL_BATCH):
     return out
 
 
-def forward_recording(epochs, spans, params, cfg, batch_size=EVAL_BATCH):
+def forward_recording(epochs, spans, params, cfg):
     """Eval-mode log-probabilities ``[B, 5]`` of windows over one recording.
 
     Each epoch of ``epochs`` ``[N, L_epoch]`` goes through the extractor
     once (``encode_epochs``); row b of ``spans`` ``[B, W]`` holds the epoch
     indices of window b, whose features the Bi-LSTM and the head then read.
     """
-    features = Tensor(encode_epochs(epochs, params, cfg, batch_size))
-    _, log_probs = _classify(features, spans, params, cfg)
-    return log_probs.data
+    features = Tensor(encode_epochs(epochs, params, cfg))
+    return _classify(features, spans, params, cfg).data
 
 
 # ---------------------------------------------------------------------------

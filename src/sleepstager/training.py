@@ -36,7 +36,6 @@ from .errors import (
 )
 from .metrics import confusion_from, metrics_report
 from .model import (
-    EVAL_BATCH,
     build_stager_params,
     checkpoint_save,
     forward_batch,
@@ -235,24 +234,24 @@ def _group_by_view(chosen):
     return groups
 
 
-def predict_epochs(params, model_cfg, es, batch_size=EVAL_BATCH):
+def predict_epochs(params, model_cfg, es):
     """Stage prediction for every epoch (stride 1, replicate edges).
 
     One pass: each epoch goes through the extractor once, in calls of at
-    most ``batch_size`` epochs, and each epoch's window of features then
-    runs through the Bi-LSTM and the head. Exact ties resolve to the
+    most ``model.EVAL_BATCH`` epochs, and each epoch's window of features
+    then runs through the Bi-LSTM and the head. Exact ties resolve to the
     lowest stage index.
     """
     view = make_windows(es, model_cfg.window_size, 1, "replicate")
     spans = view.spans(np.arange(len(view)))
-    log_probs = forward_recording(es.epochs, spans, params, model_cfg, batch_size)
+    log_probs = forward_recording(es.epochs, spans, params, model_cfg)
     return np.argmax(log_probs, axis=1)
 
 
-def predict_sets(params, model_cfg, epoch_sets, batch_size=EVAL_BATCH):
+def predict_sets(params, model_cfg, epoch_sets):
     """``[(epoch_set, predictions)]`` for every recording that has epochs."""
     scored = [
-        (es, predict_epochs(params, model_cfg, es, batch_size))
+        (es, predict_epochs(params, model_cfg, es))
         for es in epoch_sets
         if len(es)
     ]
@@ -269,12 +268,12 @@ def pooled_confusion(scored):
     )
 
 
-def evaluate(params, model_cfg, epoch_sets, batch_size=EVAL_BATCH):
+def evaluate(params, model_cfg, epoch_sets):
     """Pooled confusion matrix over every epoch of the given recordings.
 
     Each epoch goes through the extractor once (see ``predict_epochs``).
     """
-    return pooled_confusion(predict_sets(params, model_cfg, epoch_sets, batch_size))
+    return pooled_confusion(predict_sets(params, model_cfg, epoch_sets))
 
 
 @dataclass

@@ -85,9 +85,13 @@ class TestConfigSurface:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[train]\nlearning_rate = 0.1\n")
-        with pytest.raises(ConfigError):
-            load_config_file(cfg)
+        # the head and the GradCAM score are fixed parts of the design
+        for text in ("[train]\nlearning_rate = 0.1\n",
+                     "[model]\nhead_widths = 5\n",
+                     "[explain]\ngradient_source = log_prob\n"):
+            cfg.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config_file(cfg)
 
     def test_wrong_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -243,13 +247,21 @@ class TestTrainEvalExplain:
                      "--out-dir", str(tmp_path / "o")]) == 3
 
     def test_corrupt_cache_exits_3(self, synth_cache, tmp_path, capsys):
-        bad = tmp_path / "bad"
-        bad.mkdir()
         blob = (synth_cache / "synth-000.sepc").read_bytes()
-        (bad / "synth-000.sepc").write_bytes(blob[:-10])
-        assert main(["train", "--cache-dir", str(bad),
-                     "--out-dir", str(tmp_path / "o")]) == 3
-        assert "(field: samples)" in capsys.readouterr().err
+        # the rate follows magic, version and the u16-prefixed subject id
+        at = 10 + len("synth-000")
+        assert np.frombuffer(blob[at : at + 8], dtype="<f8")[0] == 8.0
+        corrupt = {
+            "samples": blob[:-10],
+            "sample_rate": blob[:at] + np.float64(9.0).tobytes() + blob[at + 8 :],
+        }
+        for field, bad_blob in corrupt.items():
+            bad = tmp_path / field
+            bad.mkdir()
+            (bad / "synth-000.sepc").write_bytes(bad_blob)
+            assert main(["train", "--cache-dir", str(bad),
+                         "--out-dir", str(tmp_path / "o")]) == 3
+            assert f"(field: {field})" in capsys.readouterr().err
 
     def test_rate_mismatch_exits_2(self, tmp_path, capsys):
         # a checkpoint trained at 8 Hz cannot read a 16 Hz cache: eval and

@@ -45,12 +45,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(window_size=4)
 
-    def test_head_must_end_in_five(self):
-        cfg = tiny_config()
-        cfg.head_widths = (8, 3)
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
     def test_dict_roundtrip(self):
         cfg = tiny_config(window_size=5, seed=3)
         assert StagerConfig.from_dict(cfg.to_dict()) == cfg
@@ -148,7 +142,7 @@ class TestPredict:
         forward_batch(
             rng.normal(size=(2, cfg.window_size, cfg.epoch_len)), params, cfg, "train"
         )
-        w, b = params.head[-1]
+        w, b = params.head
         saved_w, saved_b = w.data.copy(), b.data.copy()
         try:
             w.data[:] = 0.0
@@ -245,16 +239,31 @@ class TestCheckpoint:
             checkpoint_load(path)
         assert e.value.field == manifest["tensors"][0]["name"]
 
-    @pytest.mark.parametrize("key, value", [("stride_eval", 2), ("num_classes", 4)])
+    @pytest.mark.parametrize("key, value", [
+        ("stride_eval", 2),
+        ("num_classes", 4),
+        ("head_widths", [8, 5]),
+        ("extractor.stem_kernel", 5),
+        ("extractor.stage_widths", [16, 32, 64, 128]),  # width 0.25, not 0.125
+        ("extractor.blocks_per_stage", [3, 4, 6, 3]),  # se_resnet_34's
+    ])
     def test_fixed_manifest_key_rejected(self, tmp_path, key, value):
-        # the manifest still carries stride_eval 1 and num_classes 5, which
-        # no config can change; any other value marks a corrupt manifest
+        # the manifest still carries keys that no config can set: fixed
+        # values, and extractor shapes derived from its three settings;
+        # any other value marks a corrupt manifest
         cfg = tiny_config(seed=12)
-        assert cfg.to_dict()["stride_eval"] == 1
-        assert cfg.to_dict()["num_classes"] == 5
+        *parents, name = key.split(".")
+
+        def set_key(manifest):
+            section = manifest["config"]
+            for parent in parents:
+                section = section[parent]
+            assert section[name] != value
+            section[name] = value
+
         path = tmp_path / "model.sstg"
         checkpoint_save(build_stager_params(cfg), cfg, path)
-        manifest = rewrite_manifest(path, lambda m: m["config"].update({key: value}))
+        manifest = rewrite_manifest(path, set_key)
         with pytest.raises(CorruptCheckpoint) as e:
             checkpoint_load(path)
         assert e.value.field == "manifest"

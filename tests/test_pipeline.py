@@ -272,6 +272,23 @@ class TestCache:
             load_epochset(path)
         assert e.value.field == "samples"
 
+    @pytest.mark.parametrize("field", ["sample_rate", "labels"])
+    def test_corrupt_header_field(self, tmp_path, field):
+        es = toy_epochset(4, l_epoch=60, rate=2.0)
+        path = tmp_path / "s.sepc"
+        save_epochset(es, path)
+        blob = bytearray(path.read_bytes())
+        # magic, version, u16 id length + id, f64 rate, u64 N, u64 L, stages
+        rate_at = 10 + len(es.subject_id.encode())
+        if field == "sample_rate":
+            blob[rate_at : rate_at + 8] = np.float64(3.0).tobytes()
+        else:
+            blob[rate_at + 24] = 5
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCache) as e:
+            load_epochset(path)
+        assert e.value.field == field
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.sepc"
         path.write_bytes(b"NOPE" + b"\x00" * 50)

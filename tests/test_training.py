@@ -280,6 +280,10 @@ def trained_window5(small_synth):
 class TestScoreEpochs:
     BATCH = 4
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(model, "EVAL_BATCH", self.BATCH)
+
     @pytest.mark.parametrize("n", [1, 4, 5, 2 * BATCH + 1])
     def test_matches_window_by_window(self, small_synth, n):
         # 1 and W-1 epochs clamp every window at both edges, W clamps all
@@ -291,13 +295,11 @@ class TestScoreEpochs:
         view = make_windows(es, cfg.window_size, 1, "replicate")
         ks = np.arange(n)
         expected = forward_batch(view.gather(ks), params, cfg, "eval").log_probs.data
-        got = model.forward_recording(es.epochs, view.spans(ks), params, cfg,
-                                      batch_size=self.BATCH)
+        got = model.forward_recording(es.epochs, view.spans(ks), params, cfg)
         assert got.shape == (n, 5)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
-            predict_epochs(params, cfg, es, batch_size=self.BATCH),
-            np.argmax(expected, axis=1),
+            predict_epochs(params, cfg, es), np.argmax(expected, axis=1)
         )
 
     def test_each_epoch_reaches_the_extractor_once(self, small_synth, monkeypatch):
@@ -311,7 +313,7 @@ class TestScoreEpochs:
             return original(x, *args)
 
         monkeypatch.setattr(model, "feature_extractor_forward", recording)
-        preds = predict_epochs(params, cfg, es, batch_size=self.BATCH)
+        preds = predict_epochs(params, cfg, es)
         assert preds.shape == (len(es),)
         assert max(len(x) for x in calls) <= self.BATCH
         np.testing.assert_array_equal(np.concatenate(calls)[:, 0, :], es.epochs)
