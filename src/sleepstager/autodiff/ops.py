@@ -4,7 +4,9 @@ Each op has one batched form: convolution, pooling, the SE scaling
 primitive and batch normalization take ``[N, C, L]``, matmul takes two
 matrices, and input of another rank raises ``ShapeError``. A single sample
 is a batch with N == 1. Broadcasting is limited to bias-add and
-channel-scale by design.
+channel-scale by design. Ops take only the arguments the model varies:
+``concat`` joins along the last axis, and batch normalization uses the
+standard momentum and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
 """
 
 import numpy as np
@@ -120,23 +122,22 @@ def transpose(x):
     return out
 
 
-def concat(tensors, axis=-1):
+def concat(tensors):
+    """Join along the last axis, the feature axis of every caller."""
     if not tensors:
         raise InvalidInput("concat of an empty list")
     nd = tensors[0].data.ndim
     if any(t.data.ndim != nd for t in tensors):
         raise ShapeError("concat: rank mismatch")
     out = Tensor._wrap(
-        np.concatenate([t.data for t in tensors], axis=axis), _rg(*tensors)
+        np.concatenate([t.data for t in tensors], axis=-1), _rg(*tensors)
     )
-    sizes = [t.data.shape[axis] for t in tensors]
+    sizes = [t.data.shape[-1] for t in tensors]
 
     def bwd(g):
         start = 0
         for t, n in zip(tensors, sizes):
-            idx = [slice(None)] * nd
-            idx[axis] = slice(start, start + n)
-            t.accumulate_grad(g[tuple(idx)])
+            t.accumulate_grad(g[..., start : start + n])
             start += n
 
     record(out, bwd)
@@ -374,6 +375,10 @@ def max_pool1d(x, k, stride):
 # ---------------------------------------------------------------------------
 # batch normalization
 
+# the standard settings the paper trains with
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class BatchNormState:
     """Running statistics for one batchnorm layer (mutated in train mode)."""
@@ -386,7 +391,7 @@ class BatchNormState:
         self.initialized = False
 
 
-def batchnorm1d(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
+def batchnorm1d(x, gamma, beta, state, mode):
     """Per-channel normalization over the (batch, time) axes.
 
     Train mode normalizes by batch statistics and folds them into the
@@ -403,9 +408,9 @@ def batchnorm1d(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
             raise InvalidInput("batchnorm train mode needs N*L >= 2")
         mean = xd.mean(axis=(0, 2))
         var = xd.var(axis=(0, 2))
-        state.running_mean = (1 - momentum) * state.running_mean + momentum * mean
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         unbiased = var * m / (m - 1)
-        state.running_var = (1 - momentum) * state.running_var + momentum * unbiased
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
         state.initialized = True
     elif mode == "eval":
         if not state.initialized:
@@ -416,7 +421,7 @@ def batchnorm1d(x, gamma, beta, state, mode, momentum=0.1, eps=1e-5):
     else:
         raise ContractViolation(f"unknown batchnorm mode: {mode!r}")
 
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (xd - mean[:, None]) * ivar[:, None]
     y = gamma.data[:, None] * xhat + beta.data[:, None]
     out = Tensor._wrap(y, _rg(x, gamma, beta))

@@ -54,14 +54,6 @@ class Tensor:
         t.grad = None
         return t
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
@@ -149,17 +141,15 @@ def zero_grads(tensors):
 def tensor_init(shape, scheme, value=0.0, seed=0, requires_grad=False):
     """Create a tensor from one of the supported deterministic schemes.
 
-    ``scheme`` is one of ``"zeros"``, ``"constant"`` (uses ``value``) or
-    ``"fan_in_scaled"`` (uses ``seed``; zero-mean normal with variance
-    2/fan_in, where fan_in is the product of all non-leading extents).
+    ``scheme`` is ``"constant"`` (uses ``value``) or ``"fan_in_scaled"``
+    (uses ``seed``; zero-mean normal with variance 2/fan_in, where fan_in
+    is the product of all non-leading extents).
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise InvalidShape("shape must be non-empty")
     if any(s < 1 for s in shape):
         raise InvalidShape(f"all extents must be >= 1, got {shape}")
-    if scheme == "zeros":
-        return Tensor._wrap(np.zeros(shape), requires_grad)
     if scheme == "constant":
         arr = np.full(shape, float(value))
         if not np.isfinite(value):

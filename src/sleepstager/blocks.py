@@ -3,9 +3,11 @@
 A squeeze-and-excitation gate re-weights the channels of each residual
 block; four stages of such blocks turn one 30-second epoch into a single
 feature vector. Everything takes a batch ``[N, C, L]``; one epoch is a
-batch of one.
+batch of one. The parameter structs hold each conv weight as a plain
+tensor: batchnorm follows every conv and absorbs a bias, so none has one.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .autodiff import (
@@ -54,6 +56,9 @@ class FeatureExtractorConfig:
     def validate(self):
         if self.variant not in BLOCKS_PER_STAGE:
             raise ConfigError(f"unknown extractor variant: {self.variant!r}")
+        if not 0 < self.width_multiplier < math.inf:
+            raise ConfigError(f"width_multiplier {self.width_multiplier} is not "
+                              "positive and finite")
         r = self.reduction_ratio
         if r < 1:
             raise ConfigError("reduction_ratio must be >= 1")
@@ -91,9 +96,11 @@ class FeatureExtractorConfig:
     @classmethod
     def from_dict(cls, d):
         """Rebuild from the three settings; the derived keys must agree."""
-        cfg = cls.create(
-            d["variant"], float(d["width_multiplier"]), int(d["reduction_ratio"])
-        )
+        try:
+            width, ratio = float(d["width_multiplier"]), int(d["reduction_ratio"])
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"extractor setting is not a usable number: {e}") from e
+        cfg = cls.create(d["variant"], width, ratio)
         for key, value in cfg.to_dict().items():
             if d[key] != value:
                 raise ConfigError(
@@ -146,12 +153,6 @@ class ParamBuilder:
 
 
 @dataclass
-class ConvParams:
-    w: Tensor
-    b: Tensor | None = None
-
-
-@dataclass
 class BatchNormParams:
     gamma: Tensor
     beta: Tensor
@@ -162,24 +163,23 @@ class BatchNormParams:
 class SEBlockParams:
     fc1: Tensor  # [C // r, C]
     fc2: Tensor  # [C, C // r]
-    reduction_ratio: int
 
 
 @dataclass
 class BasicBlockParams:
-    conv1: ConvParams
+    conv1: Tensor
     bn1: BatchNormParams
-    conv2: ConvParams
+    conv2: Tensor
     bn2: BatchNormParams
     se: SEBlockParams
     stride: int
-    shortcut_conv: ConvParams | None = None
+    shortcut_conv: Tensor | None = None
     shortcut_bn: BatchNormParams | None = None
 
 
 @dataclass
 class FeatureExtractorParams:
-    stem_conv: ConvParams
+    stem_conv: Tensor
     stem_bn: BatchNormParams
     stages: list = field(default_factory=list)
 
@@ -192,29 +192,25 @@ def build_se(builder, name, channels, reduction_ratio):
     hidden = channels // reduction_ratio
     fc1 = builder.weight(f"{name}.fc1", [hidden, channels])
     fc2 = builder.weight(f"{name}.fc2", [channels, hidden])
-    return SEBlockParams(fc1, fc2, reduction_ratio)
+    return SEBlockParams(fc1, fc2)
 
 
 def build_basic_block(builder, name, c_in, c_out, stride, reduction_ratio):
-    # batchnorm directly follows every conv here, so a conv bias would be
-    # a dead parameter; leave it out
-    conv1 = ConvParams(builder.weight(f"{name}.conv1.w", [c_out, c_in, 3]))
+    conv1 = builder.weight(f"{name}.conv1.w", [c_out, c_in, 3])
     bn1 = builder.bn(f"{name}.bn1", c_out)
-    conv2 = ConvParams(builder.weight(f"{name}.conv2.w", [c_out, c_out, 3]))
+    conv2 = builder.weight(f"{name}.conv2.w", [c_out, c_out, 3])
     bn2 = builder.bn(f"{name}.bn2", c_out)
     se = build_se(builder, f"{name}.se", c_out, reduction_ratio)
     block = BasicBlockParams(conv1, bn1, conv2, bn2, se, stride)
     if stride != 1 or c_in != c_out:
-        block.shortcut_conv = ConvParams(
-            builder.weight(f"{name}.short.w", [c_out, c_in, 1])
-        )
+        block.shortcut_conv = builder.weight(f"{name}.short.w", [c_out, c_in, 1])
         block.shortcut_bn = builder.bn(f"{name}.short.bn", c_out)
     return block
 
 
 def build_extractor(builder, cfg, prefix="extractor"):
     widths = cfg.stage_widths
-    stem_conv = ConvParams(builder.weight(f"{prefix}.stem.w", [widths[0], 1, STEM_KERNEL]))
+    stem_conv = builder.weight(f"{prefix}.stem.w", [widths[0], 1, STEM_KERNEL])
     stem_bn = builder.bn(f"{prefix}.stem.bn", widths[0])
     params = FeatureExtractorParams(stem_conv, stem_bn)
     c_in = widths[0]
@@ -241,13 +237,13 @@ def se_forward(x, p):
 
 
 def basic_block_forward(x, p, mode):
-    h = conv1d(x, p.conv1.w, p.conv1.b, stride=p.stride, padding=1)
+    h = conv1d(x, p.conv1, stride=p.stride, padding=1)
     h = relu(batchnorm1d(h, p.bn1.gamma, p.bn1.beta, p.bn1.state, mode))
-    h = conv1d(h, p.conv2.w, p.conv2.b, stride=1, padding=1)
+    h = conv1d(h, p.conv2, stride=1, padding=1)
     h = batchnorm1d(h, p.bn2.gamma, p.bn2.beta, p.bn2.state, mode)
     h = se_forward(h, p.se)
     if p.shortcut_conv is not None:
-        sc = conv1d(x, p.shortcut_conv.w, p.shortcut_conv.b, stride=p.stride)
+        sc = conv1d(x, p.shortcut_conv, stride=p.stride)
         sc = batchnorm1d(
             sc, p.shortcut_bn.gamma, p.shortcut_bn.beta, p.shortcut_bn.state, mode
         )
@@ -265,8 +261,8 @@ def feature_extractor_forward(x, cfg, params, mode):
     xd = x.data
     if xd.ndim != 3 or xd.shape[1] != 1:
         raise ShapeError(f"feature_extractor_forward: expected [N,1,L], got {xd.shape}")
-    h = conv1d(x, params.stem_conv.w, params.stem_conv.b,
-               stride=STEM_STRIDE, padding=(STEM_KERNEL - 1) // 2)
+    h = conv1d(x, params.stem_conv, stride=STEM_STRIDE,
+               padding=(STEM_KERNEL - 1) // 2)
     h = relu(batchnorm1d(h, params.stem_bn.gamma, params.stem_bn.beta,
                          params.stem_bn.state, mode))
     h = max_pool1d(h, 3, 2)
@@ -274,15 +270,3 @@ def feature_extractor_forward(x, cfg, params, mode):
         for block in stage:
             h = basic_block_forward(h, block, mode)
     return global_avg_pool(h), h
-
-
-def extractor_output_length(cfg, epoch_len):
-    """Length of the final activation map for a given epoch length."""
-    pad = (STEM_KERNEL - 1) // 2
-    l = (epoch_len + 2 * pad - STEM_KERNEL) // STEM_STRIDE + 1
-    l = (l - 3) // 2 + 1
-    for s in range(4):
-        for b in range(cfg.blocks_per_stage[s]):
-            stride = 2 if (b == 0 and s > 0) else 1
-            l = (l + 2 - 3) // stride + 1
-    return l

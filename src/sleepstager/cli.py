@@ -334,6 +334,13 @@ def cmd_explain(args):
     return 0
 
 
+# the keys of a training run, shared by train and cv
+_TRAIN_KEYS = (
+    "cache_dir", "variant", "width_multiplier", "reduction_ratio", "window_size",
+    "lstm_hidden", "lstm_depth", "epochs", "batch_size", "lr", "stride_train",
+    "seed", "shuffle",
+)
+
 _COMMANDS = {
     "prepare": (
         cmd_prepare,
@@ -348,16 +355,12 @@ _COMMANDS = {
     "train": (
         cmd_train,
         "train the stager on prepared caches",
-        ("cache_dir", "variant", "width_multiplier", "reduction_ratio",
-         "window_size", "lstm_hidden", "lstm_depth", "epochs", "batch_size",
-         "lr", "stride_train", "seed", "shuffle", "out_dir"),
+        (*_TRAIN_KEYS, "out_dir"),
     ),
     "cv": (
         cmd_cv,
         "subject-wise k-fold cross-validation with pooled metrics",
-        ("cache_dir", "variant", "width_multiplier", "reduction_ratio",
-         "window_size", "lstm_hidden", "lstm_depth", "epochs", "batch_size",
-         "lr", "stride_train", "seed", "shuffle", "k", "jobs", "out_dir"),
+        (*_TRAIN_KEYS, "k", "jobs", "out_dir"),
     ),
     "eval": (
         cmd_eval,

@@ -172,11 +172,8 @@ class RunConfig:
             raise ConfigError(f"missing required setting: {name}")
         return value
 
-    def as_dict(self):
-        return dict(self._values)
 
-
-def model_config_from(run, sample_rate, seed=None):
+def model_config_from(run, sample_rate):
     """Build a validated StagerConfig from run settings plus the data's rate."""
     extractor = FeatureExtractorConfig.create(
         run["variant"],
@@ -190,7 +187,7 @@ def model_config_from(run, sample_rate, seed=None):
         lstm_hidden=run["lstm_hidden"],
         lstm_depth=run["lstm_depth"],
         sample_rate=sample_rate,
-        seed=run["seed"] if seed is None else seed,
+        seed=run["seed"],
     )
     return cfg.validate()
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import EXCLUDED, NUM_STAGES
+from .. import EXCLUDED, NUM_STAGES, epoch_samples
 from ..errors import (
     ChannelNotFound,
     ConfigError,
@@ -47,8 +47,7 @@ class EpochSet:
             raise InvalidInput("labels and epochs disagree on length")
         if np.any(self.labels < 0) or np.any(self.labels >= NUM_STAGES):
             raise InvalidInput("labels must be stage indices 0..4")
-        expected = self.sample_rate * 30.0
-        if abs(self.epochs.shape[1] - expected) > 1e-6:
+        if self.epochs.shape[1] != epoch_samples(self.sample_rate):
             raise ConfigError(
                 f"epoch length {self.epochs.shape[1]} != 30 s at "
                 f"{self.sample_rate} Hz"
@@ -73,12 +72,7 @@ def epochize(recording, channel_name, hypnogram, subject_id="subject"):
     """
     signal = recording.channel(channel_name)
     rate = recording.sample_rate(channel_name)
-    samples_30s = rate * 30.0
-    if abs(samples_30s - round(samples_30s)) > 1e-9:
-        raise ConfigError(
-            f"sample rate {rate} Hz does not give an integer 30 s epoch"
-        )
-    l_epoch = int(round(samples_30s))
+    l_epoch = epoch_samples(rate)
     n_available = len(signal) // l_epoch
     n = min(len(hypnogram), n_available)
     keep = [i for i in range(n) if hypnogram.labels[i] != EXCLUDED]
@@ -150,7 +144,11 @@ def load_epochset(path):
         rate = float(np.frombuffer(_need(f, 8, "sample_rate"), dtype="<f8")[0])
         n = int(np.frombuffer(_need(f, 8, "n_epochs"), dtype="<u8")[0])
         l_epoch = int(np.frombuffer(_need(f, 8, "epoch_len"), dtype="<u8")[0])
-        if not abs(l_epoch - 30.0 * rate) <= 1e-6:
+        try:
+            expected = epoch_samples(rate)
+        except ConfigError as e:
+            raise CorruptCache(str(e), field="sample_rate") from e
+        if l_epoch != expected:
             raise CorruptCache(f"epoch length {l_epoch} != 30 s at {rate} Hz",
                                field="sample_rate")
         stages = np.frombuffer(_need(f, n, "labels"), dtype=np.uint8)

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import EXCLUDED, STAGE_TO_INDEX
+from .. import EPOCH_SECONDS, EXCLUDED, STAGE_TO_INDEX
 from ..errors import AnnotationError
 from .edf import parse_edf
 
 log = logging.getLogger(__name__)
-
-EPOCH_S = 30.0
 
 _STAGE_ALIASES = {
     "W": "W",
@@ -65,10 +63,15 @@ class Hypnogram:
     """Per-epoch stage labels; EXCLUDED entries mark dropped epochs."""
 
     labels: np.ndarray  # int8, values 0..4 or EXCLUDED
-    epoch_s: float = EPOCH_S
 
     def __len__(self):
         return len(self.labels)
+
+
+def _on_grid(seconds):
+    """Whether ``seconds`` (>= 0) is a whole number of epochs; NaN is not."""
+    r = seconds % EPOCH_SECONDS
+    return min(r, EPOCH_SECONDS - r) <= 1e-9
 
 
 def hypnogram_from_annotations(annotations):
@@ -81,9 +84,9 @@ def hypnogram_from_annotations(annotations):
             raise AnnotationError(f"negative onset {onset}")
         if duration <= 0:
             raise AnnotationError(f"non-positive duration {duration} at {onset}s")
-        if abs(onset % EPOCH_S) > 1e-9 and abs(onset % EPOCH_S - EPOCH_S) > 1e-9:
+        if not _on_grid(onset):
             raise AnnotationError(f"onset {onset}s not aligned to the 30 s grid")
-        if abs(duration % EPOCH_S) > 1e-9 and abs(duration % EPOCH_S - EPOCH_S) > 1e-9:
+        if not _on_grid(duration):
             raise AnnotationError(f"duration {duration}s at {onset}s not a multiple of 30 s")
         rows.append((onset, duration, text))
     rows.sort(key=lambda r: r[0])
@@ -95,12 +98,12 @@ def hypnogram_from_annotations(annotations):
     if not rows:
         return Hypnogram(np.empty(0, dtype=np.int8))
     end = rows[-1][0] + rows[-1][1]
-    n = int(round(end / EPOCH_S))
+    n = int(round(end / EPOCH_SECONDS))
     labels = np.full(n, EXCLUDED, dtype=np.int8)
     for onset, duration, text in rows:
         stage = map_stage_label(text)
-        first = int(round(onset / EPOCH_S))
-        count = int(round(duration / EPOCH_S))
+        first = int(round(onset / EPOCH_SECONDS))
+        count = int(round(duration / EPOCH_SECONDS))
         labels[first : first + count] = stage
     return Hypnogram(labels)
 
@@ -133,8 +136,8 @@ def parse_tals(raw):
 
 
 def parse_hypnogram_edf(data):
-    """Hypnogram from an EDF+ file's annotation channel (bytes or parsed)."""
-    rec = parse_edf(data) if isinstance(data, (bytes, bytearray)) else data
+    """Hypnogram from the bytes of an EDF+ file with an annotation channel."""
+    rec = parse_edf(data)
     if not rec.annotation_bytes:
         raise AnnotationError("recording has no EDF Annotations channel")
     rows = [r for r in parse_tals(rec.annotation_bytes) if _is_stage_annotation(r[2])]
@@ -166,13 +169,8 @@ def parse_hypnogram_csv(text):
     return hypnogram_from_annotations(rows)
 
 
-def parse_hypnogram(source, fmt=None):
-    """Dispatch on source: path/bytes of an EDF+ file, or CSV path/text."""
-    if isinstance(source, (bytes, bytearray)):
-        return parse_hypnogram_edf(bytes(source))
-    path = str(source)
-    if fmt is None:
-        fmt = "csv" if path.lower().endswith(".csv") else "edfplus"
+def parse_hypnogram(path, fmt):
+    """Hypnogram from the file at ``path`` in format ``"edfplus"`` or ``"csv"``."""
     if fmt == "csv":
         with open(path, "r", encoding="utf-8") as f:
             return parse_hypnogram_csv(f.read())

@@ -14,7 +14,7 @@ light and deep sleep so windows carry realistic context.
 
 import numpy as np
 
-from .. import STAGE_TO_INDEX
+from .. import STAGE_TO_INDEX, epoch_samples
 from ..errors import ConfigError
 from .epochs import EpochSet
 
@@ -127,10 +127,7 @@ def synth_generate(n_subjects, epochs_per_subject, sample_rate, seed):
     """
     if n_subjects < 1 or epochs_per_subject < 1:
         raise ConfigError("subject and epoch counts must be >= 1")
-    samples_30s = sample_rate * 30.0
-    if abs(samples_30s - round(samples_30s)) > 1e-9:
-        raise ConfigError(f"sample rate {sample_rate} Hz breaks the 30 s grid")
-    l_epoch = int(round(samples_30s))
+    l_epoch = epoch_samples(sample_rate)
     t = np.arange(l_epoch) / sample_rate
     sets = []
     for s in range(n_subjects):

@@ -14,11 +14,11 @@ bit-exactly.
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import NUM_STAGES
+from . import NUM_STAGES, epoch_samples
 from .autodiff import (
     Tensor,
     add_rowvec,
@@ -72,17 +72,13 @@ class StagerConfig:
             raise ConfigError("stride_train must be >= 1")
         if self.lstm_hidden < 1 or self.lstm_depth < 1:
             raise ConfigError("lstm hidden size and depth must be >= 1")
-        rate_samples = 30.0 * self.sample_rate
-        if abs(rate_samples - round(rate_samples)) > 1e-9 or rate_samples < 1:
-            raise ConfigError(
-                f"sample_rate {self.sample_rate} does not give an integer epoch length"
-            )
+        epoch_samples(self.sample_rate)  # raises unless the epoch is whole
         self.extractor.validate()
         return self
 
     @property
     def epoch_len(self):
-        return int(round(30.0 * self.sample_rate))
+        return epoch_samples(self.sample_rate)
 
     @property
     def middle_index(self):
@@ -105,19 +101,19 @@ class StagerConfig:
         for key, value in _FIXED_MANIFEST_KEYS.items():
             if d[key] != value:
                 raise ConfigError(f"{key} is fixed at {value}, got {d[key]}")
-        cfg = cls(
-            window_size=int(d["window_size"]),
-            stride_train=int(d["stride_train"]),
-            extractor=FeatureExtractorConfig.from_dict(d["extractor"]),
-            lstm_hidden=int(d["lstm_hidden"]),
-            lstm_depth=int(d["lstm_depth"]),
-            sample_rate=float(d["sample_rate"]),
-            seed=int(d["seed"]),
-        )
+        try:
+            cfg = cls(
+                window_size=int(d["window_size"]),
+                stride_train=int(d["stride_train"]),
+                extractor=FeatureExtractorConfig.from_dict(d["extractor"]),
+                lstm_hidden=int(d["lstm_hidden"]),
+                lstm_depth=int(d["lstm_depth"]),
+                sample_rate=float(d["sample_rate"]),
+                seed=int(d["seed"]),
+            )
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"manifest value is not a usable number: {e}") from e
         return cfg.validate()
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 @dataclass

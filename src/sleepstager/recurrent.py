@@ -98,7 +98,7 @@ def lstm_cell_step(x_t, h_prev, c_prev, p):
             f"lstm_cell_step: x {xs} and h {hs} do not fit "
             f"[B, {p.input_size}] and [B, {p.hidden_size}]"
         )
-    zcat = concat([h_prev, x_t], axis=-1)
+    zcat = concat([h_prev, x_t])
     f = _gate(zcat, p.w_f, p.b_f, sigmoid)
     i = _gate(zcat, p.w_i, p.b_i, sigmoid)
     c_hat = _gate(zcat, p.w_c, p.b_c, tanh)
@@ -129,7 +129,7 @@ def bilstm_layer_forward(seq, layer):
     fwd_cell, bwd_cell = layer
     fwd = _run_direction(seq, fwd_cell)
     bwd = _run_direction(list(reversed(seq)), bwd_cell)[::-1]
-    return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+    return [concat([f, b]) for f, b in zip(fwd, bwd)]
 
 
 def stack_forward(seq, stack):

@@ -1,5 +1,8 @@
 """Adam optimization, NLL loss, the training loop, and k-fold cross-validation.
 
+Adam runs at its standard moment decays and epsilon; the learning rate is
+its one setting.
+
 Training windows come from the ``skip`` edge policy. At training stride s
 an epoch trains on 1/s of them: each recording gives the windows at one
 stride phase, and its phases run through a fresh random permutation every
@@ -79,21 +82,24 @@ def nll_loss(log_probs, targets):
     return scale(sum_all(picked), -1.0 / targets.size)
 
 
+# Adam's standard moment decays and denominator epsilon (Kingma & Ba)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter plus the step count."""
 
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adam(params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def init_adam(params, lr):
+    state = AdamState(lr)
     for name, tensor in params.registry.items():
         state.m[name] = np.zeros_like(tensor.data)
         state.v[name] = np.zeros_like(tensor.data)
@@ -103,7 +109,7 @@ def init_adam(params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
 def adam_step(params, state):
     """One in-place update; every registered parameter must hold a gradient."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, tensor in params.registry.items():
@@ -118,7 +124,7 @@ def adam_step(params, state):
         v += (1.0 - b2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def _window_rows(views, stride, phases):
@@ -193,7 +199,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
     views, _ = _training_windows(train_sets, model_cfg.window_size, stride)
     rng = np.random.default_rng(train_cfg.seed)
     phases = _stride_phases(rng, [len(v) for v in views], stride)
-    adam = init_adam(params, lr=train_cfg.lr * stride)
+    adam = init_adam(params, train_cfg.lr * stride)
     tensors = list(params.registry.values())
     labels = [view.labels() for view in views]
     history = []
@@ -284,7 +290,6 @@ class FoldResult:
     confusion: np.ndarray
     loss_history: list
     wall_clock_s: float
-    checkpoint_path: str | None = None
 
     @property
     def report(self):
@@ -295,9 +300,8 @@ def _run_fold(args):
     (fold_index, train_ids, test_ids, sets_by_id, model_cfg, train_cfg,
      checkpoint_path) = args
     t0 = time.perf_counter()
-    fold_seed = train_cfg.seed + fold_index
-    model_cfg_f = model_cfg.with_seed(model_cfg.seed + fold_index)
-    train_cfg_f = replace(train_cfg, seed=fold_seed)
+    model_cfg_f = replace(model_cfg, seed=model_cfg.seed + fold_index)
+    train_cfg_f = replace(train_cfg, seed=train_cfg.seed + fold_index)
     train_sets = [sets_by_id[s] for s in train_ids]
     test_sets = [sets_by_id[s] for s in test_ids]
     leak = {es.subject_id for es in train_sets} & {es.subject_id for es in test_sets}
@@ -313,7 +317,6 @@ def _run_fold(args):
         confusion=cm,
         loss_history=history,
         wall_clock_s=time.perf_counter() - t0,
-        checkpoint_path=str(checkpoint_path) if checkpoint_path else None,
     )
 
 

@@ -31,6 +31,7 @@ from sleepstager.autodiff import (
     tensor_init,
     transpose,
 )
+from sleepstager.autodiff.ops import BN_EPS
 from sleepstager.blocks import FeatureExtractorConfig, ParamBuilder, build_extractor
 from sleepstager.errors import (
     ContractViolation,
@@ -45,10 +46,6 @@ def rand_tensor(rng, shape, lo=-1.0, hi=1.0):
 
 
 class TestTensorInit:
-    def test_zeros(self):
-        t = tensor_init([2, 2], "zeros")
-        np.testing.assert_array_equal(t.data, [[0, 0], [0, 0]])
-
     def test_constant(self):
         t = tensor_init([3], "constant", value=1.5)
         np.testing.assert_array_equal(t.data, [1.5, 1.5, 1.5])
@@ -70,9 +67,9 @@ class TestTensorInit:
 
     def test_zero_extent_rejected(self):
         with pytest.raises(InvalidShape):
-            tensor_init([3, 0], "zeros")
+            tensor_init([3, 0], "constant")
         with pytest.raises(InvalidShape):
-            tensor_init([], "zeros")
+            tensor_init([], "constant")
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractViolation):
@@ -242,13 +239,12 @@ class TestBatchNorm:
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(3.0, 2.5, size=(6, 4, 30)))
         gamma, beta = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        eps = 1e-5
-        out = batchnorm1d(x, gamma, beta, BatchNormState(4), "train", eps=eps)
+        out = batchnorm1d(x, gamma, beta, BatchNormState(4), "train")
         mean = out.data.mean(axis=(0, 2))
         var = out.data.var(axis=(0, 2))
         assert np.max(np.abs(mean)) < 1e-10
         batch_var = x.data.var(axis=(0, 2))
-        np.testing.assert_allclose(var, batch_var / (batch_var + eps), rtol=1e-6)
+        np.testing.assert_allclose(var, batch_var / (batch_var + BN_EPS), rtol=1e-6)
 
     def test_eval_before_train_raises(self):
         x = Tensor(np.ones((1, 2, 4)))
@@ -349,7 +345,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(1, 3, 20))
         w = tensor_init([2, 3, 5], "fan_in_scaled", seed=3)
-        b = tensor_init([2], "zeros")
+        b = tensor_init([2], "constant")
         a = conv1d(Tensor(x), w, b, stride=2, padding=2).data
         b2 = conv1d(Tensor(x), w, b, stride=2, padding=2).data
         assert np.array_equal(a, b2)

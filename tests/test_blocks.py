@@ -12,7 +12,6 @@ from sleepstager.blocks import (
     build_basic_block,
     build_extractor,
     build_se,
-    extractor_output_length,
     feature_extractor_forward,
     se_forward,
 )
@@ -72,7 +71,7 @@ class TestBasicBlock:
         builder = ParamBuilder(seed=4)
         p = build_basic_block(builder, "blk", 3, 3, 1, 1)
         assert p.shortcut_conv is None
-        p.conv2.w.data[:] = 0.0
+        p.conv2.data[:] = 0.0
         x = Tensor(rng.normal(size=(2, 3, 10)))
         y = basic_block_forward(x, p, "train")
         np.testing.assert_allclose(y.data, np.maximum(x.data, 0.0), atol=1e-12)
@@ -150,7 +149,9 @@ class TestFeatureExtractor:
         x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 3000)))
         feat, acts = feature_extractor_forward(x, cfg, params, "train")
         assert feat.data.shape == (1, 512)
-        assert acts.data.shape == (1, 512, extractor_output_length(cfg, 3000))
+        # 3000 samples: stem stride 2 to 1500, max-pool to 749, then stages
+        # s1..s3 halve it (rounding up) to 375, 188 and 94
+        assert acts.data.shape == (1, 512, 94)
 
     def test_eighth_width_dimension_is_64(self):
         cfg = FeatureExtractorConfig.create("se_resnet_18", width_multiplier=0.125,

@@ -75,12 +75,14 @@ class TestExpansion:
             )
 
     def test_misaligned_duration_rejected(self):
-        with pytest.raises(AnnotationError):
-            hypnogram_from_annotations([(0, 45, "Sleep stage W")])
+        for duration in (45, float("nan"), float("inf")):
+            with pytest.raises(AnnotationError):
+                hypnogram_from_annotations([(0, duration, "Sleep stage W")])
 
     def test_misaligned_onset_rejected(self):
-        with pytest.raises(AnnotationError):
-            hypnogram_from_annotations([(10, 30, "Sleep stage W")])
+        for onset in (10, float("nan"), float("inf")):
+            with pytest.raises(AnnotationError):
+                hypnogram_from_annotations([(onset, 30, "Sleep stage W")])
 
 
 class TestCsv:

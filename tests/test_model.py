@@ -246,11 +246,14 @@ class TestCheckpoint:
         ("extractor.stem_kernel", 5),
         ("extractor.stage_widths", [16, 32, 64, 128]),  # width 0.25, not 0.125
         ("extractor.blocks_per_stage", [3, 4, 6, 3]),  # se_resnet_34's
+        ("window_size", "three"),
+        ("extractor.width_multiplier", "wide"),
     ])
     def test_fixed_manifest_key_rejected(self, tmp_path, key, value):
         # the manifest still carries keys that no config can set: fixed
         # values, and extractor shapes derived from its three settings;
-        # any other value marks a corrupt manifest
+        # any other value marks a corrupt manifest, as does a setting
+        # that is not a number
         cfg = tiny_config(seed=12)
         *parents, name = key.split(".")
 

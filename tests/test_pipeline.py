@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sleepstager import EXCLUDED, STAGE_TO_INDEX
+from sleepstager import EXCLUDED, STAGE_TO_INDEX, epoch_samples
 from sleepstager.data import (
     EpochSet,
     Hypnogram,
@@ -15,6 +15,7 @@ from sleepstager.data import (
     normalize_recording,
     parse_edf,
     save_epochset,
+    synth_generate,
     write_edf,
 )
 from sleepstager.errors import (
@@ -24,6 +25,7 @@ from sleepstager.errors import (
     DegenerateSignal,
     EmptyDataset,
 )
+from sleepstager.model import StagerConfig
 
 W, N2 = STAGE_TO_INDEX["W"], STAGE_TO_INDEX["N2"]
 
@@ -295,3 +297,31 @@ class TestCache:
         with pytest.raises(CorruptCache) as e:
             load_epochset(path)
         assert e.value.field == "magic"
+
+
+class TestEpochLength:
+    @pytest.mark.parametrize("rate, samples", [(100.0, 3000), (8.0, 240), (1 / 3, 10)])
+    def test_whole_epochs(self, rate, samples):
+        assert epoch_samples(rate) == samples
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, 1.01])
+    def test_bad_rate_raises_each_sites_error(self, tmp_path, rate):
+        # every site that works out the epoch length raises its own typed
+        # error, never the ValueError or OverflowError of round()
+        with pytest.raises(ConfigError):
+            epoch_samples(rate)
+        with pytest.raises(ConfigError):
+            StagerConfig(sample_rate=rate).validate()
+        with pytest.raises(ConfigError):
+            synth_generate(1, 1, rate, 0)
+        with pytest.raises(ConfigError):
+            EpochSet(np.zeros((1, 30)), [0], "s", "c", rate)
+        path = tmp_path / "s.sepc"
+        save_epochset(toy_epochset(2), path)
+        blob = bytearray(path.read_bytes())
+        rate_at = 10 + len("s2")
+        blob[rate_at : rate_at + 8] = np.float64(rate).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCache) as e:
+            load_epochset(path)
+        assert e.value.field == "sample_rate"

@@ -110,7 +110,7 @@ class TestAdam:
     def test_missing_grad_rejected(self):
         theta = Tensor(np.zeros(2), requires_grad=True)
         params = FakeParams({"theta": theta})
-        state = init_adam(params)
+        state = init_adam(params, lr=0.001)
         with pytest.raises(ContractViolation):
             adam_step(params, state)
 
@@ -355,11 +355,14 @@ class TestCrossValidate:
         _, pooled = cross_validate(sets, 2, cfg, tc)
         assert pooled["overall"]["accuracy"] == 1.0
 
-    def test_deterministic_end_to_end(self, small_synth):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_end_to_end(self, small_synth, jobs):
+        # the second run goes through the process pool at jobs=2
         cfg = supertiny_config(rate=8.0)
         tc = TrainConfig(epochs=1, batch_size=16, stride_train=2, seed=11)
         r1, p1 = cross_validate(small_synth, 2, cfg, tc)
-        r2, p2 = cross_validate(small_synth, 2, cfg, tc)
+        r2, p2 = cross_validate(small_synth, 2, cfg, tc, jobs=jobs)
+        assert len(r1) == len(r2) == 2
         assert p1 == p2
         for a, b in zip(r1, r2):
             assert a.loss_history == b.loss_history
