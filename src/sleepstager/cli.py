@@ -5,7 +5,11 @@ window_size``); precedence is flag > config file > default. All
 quantitative outputs are JSON; fold wall-clock times go to a separate
 timing.json so result files stay bit-reproducible for a fixed seed. eval
 also writes each scored epoch's true and predicted stage to predictions.csv.
-Exit codes: 0 success, 2 configuration error, 3 data error.
+``main`` reads the settings and creates the output directory once, then
+runs the command. Exit codes: 0 success, 2 configuration error
+(``ConfigError``), 3 any other typed error (every other ``StagerError``:
+bad data, a corrupt cache or checkpoint, an uninitialized model, ...),
+each reported as one line on stderr.
 """
 
 import argparse
@@ -27,41 +31,17 @@ from .data import (
     synth_generate,
 )
 from .errors import (
-    AnnotationError,
-    ChannelNotFound,
     ConfigError,
-    ContractViolation,
-    CorruptCache,
-    CorruptCheckpoint,
-    DegenerateSignal,
     EmptyDataset,
     InvalidInput,
-    InvalidLabel,
     IoError,
     ParseError,
-    ShapeError,
     StagerError,
 )
 from .explain import export_features_csv, gradcam, render_heatmap
 from .metrics import metrics_report
 from .model import checkpoint_load
 from .training import cross_validate, fit, pooled_confusion, predict_sets
-
-_DATA_ERRORS = (
-    ParseError,
-    AnnotationError,
-    ChannelNotFound,
-    EmptyDataset,
-    CorruptCache,
-    CorruptCheckpoint,
-    DegenerateSignal,
-    InvalidInput,
-    InvalidLabel,
-    IoError,
-    ShapeError,
-    ContractViolation,
-)
-
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
@@ -137,11 +117,8 @@ def _find_hypnogram(edf_path, fmt):
     )
 
 
-def cmd_prepare(args):
-    run = _run_config(args)
+def cmd_prepare(run, out_dir):
     edf_dir = Path(run.require("edf_dir"))
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     fmt = run["hypnogram_format"]
     channel = run["channel"]
     signal_files = sorted(
@@ -183,10 +160,7 @@ def cmd_prepare(args):
     return 0
 
 
-def cmd_synth(args):
-    run = _run_config(args)
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(run, out_dir):
     sets = synth_generate(
         run["subjects"], run["epochs_per_subject"], run["sample_rate"], run["seed"]
     )
@@ -211,10 +185,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_train(args):
-    run = _run_config(args)
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train(run, out_dir):
     sets, rate = _load_caches(run.require("cache_dir"))
     model_cfg = model_config_from(run, rate)
     train_cfg = train_config_from(run)
@@ -229,10 +200,7 @@ def cmd_train(args):
     return 0
 
 
-def cmd_cv(args):
-    run = _run_config(args)
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_cv(run, out_dir):
     sets, rate = _load_caches(run.require("cache_dir"))
     model_cfg = model_config_from(run, rate)
     train_cfg = train_config_from(run)
@@ -263,10 +231,7 @@ def cmd_cv(args):
     return 0
 
 
-def cmd_eval(args):
-    run = _run_config(args)
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_eval(run, out_dir):
     params, model_cfg = checkpoint_load(run.require("checkpoint"))
     sets, rate = _load_caches(run.require("cache_dir"))
     _check_rate(rate, model_cfg)
@@ -291,10 +256,7 @@ def _write_predictions(path, scored):
         raise IoError(f"cannot write predictions CSV {path}: {e}") from e
 
 
-def cmd_explain(args):
-    run = _run_config(args)
-    out_dir = Path(run.require("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_explain(run, out_dir):
     params, model_cfg = checkpoint_load(run.require("checkpoint"))
     subject = run.require("subject")
     cache = Path(run.require("cache_dir")) / f"{subject}.sepc"
@@ -338,7 +300,7 @@ def cmd_explain(args):
 _TRAIN_KEYS = (
     "cache_dir", "variant", "width_multiplier", "reduction_ratio", "window_size",
     "lstm_hidden", "lstm_depth", "epochs", "batch_size", "lr", "stride_train",
-    "seed", "shuffle",
+    "seed",
 )
 
 _COMMANDS = {
@@ -393,14 +355,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = _run_config(args)
+        out_dir = Path(run.require("out_dir"))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return args.func(run, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as e:
+    except StagerError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

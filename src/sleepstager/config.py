@@ -73,8 +73,6 @@ KEYS = {
                 "(evaluation always uses 1)"),
         KeySpec("seed", "train", "int", TrainConfig.seed,
                 "master seed for init and shuffling"),
-        KeySpec("shuffle", "train", "bool", TrainConfig.shuffle,
-                "reshuffle training windows every epoch"),
         # cross-validation
         KeySpec("k", "cv", "int", 20, "number of subject-wise folds"),
         KeySpec("jobs", "cv", "int", 1, "parallel fold processes"),
@@ -199,5 +197,4 @@ def train_config_from(run):
         lr=run["lr"],
         stride_train=run["stride_train"],
         seed=run["seed"],
-        shuffle=run["shuffle"],
     ).validate()

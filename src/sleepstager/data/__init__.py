@@ -10,7 +10,6 @@ from .epochs import (
 )
 from .folds import kfold_split
 from .hypnogram import (
-    Hypnogram,
     hypnogram_from_annotations,
     map_stage_label,
     parse_hypnogram,
@@ -25,7 +24,6 @@ __all__ = [
     "EdfRecording",
     "EdfSignal",
     "EpochSet",
-    "Hypnogram",
     "WindowView",
     "epochize",
     "hypnogram_from_annotations",

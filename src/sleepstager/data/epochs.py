@@ -75,14 +75,14 @@ def epochize(recording, channel_name, hypnogram, subject_id="subject"):
     l_epoch = epoch_samples(rate)
     n_available = len(signal) // l_epoch
     n = min(len(hypnogram), n_available)
-    keep = [i for i in range(n) if hypnogram.labels[i] != EXCLUDED]
+    keep = [i for i in range(n) if hypnogram[i] != EXCLUDED]
     if not keep:
         return EpochSet(
             np.empty((0, l_epoch)), np.empty(0, dtype=np.int8),
             subject_id, channel_name, rate,
         )
     rows = np.stack([signal[i * l_epoch : (i + 1) * l_epoch] for i in keep])
-    labels = hypnogram.labels[keep].astype(np.int8)
+    labels = hypnogram[keep].astype(np.int8)
     return EpochSet(rows, labels, subject_id, channel_name, rate)
 
 

@@ -4,11 +4,11 @@ Accepts EDF+ annotation streams (TALs) or a CSV of
 ``onset_s,duration_s,stage_string`` rows. Both R&K (stages 1-4) and AASM
 (N1-N3) vocabularies map onto the five-class scheme; legacy stages 3 and 4
 merge into N3, and movement/unknown epochs are marked EXCLUDED so they
-never reach training or metrics.
+never reach training or metrics. A hypnogram is the ``int8`` array of its
+epochs' labels: a stage index 0..4, or EXCLUDED.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,16 +58,6 @@ def _is_stage_annotation(text):
     return t.startswith("SLEEP STAGE") or t in _EXCLUDED_FORMS or t in _STAGE_ALIASES
 
 
-@dataclass
-class Hypnogram:
-    """Per-epoch stage labels; EXCLUDED entries mark dropped epochs."""
-
-    labels: np.ndarray  # int8, values 0..4 or EXCLUDED
-
-    def __len__(self):
-        return len(self.labels)
-
-
 def _on_grid(seconds):
     """Whether ``seconds`` (>= 0) is a whole number of epochs; NaN is not."""
     r = seconds % EPOCH_SECONDS
@@ -96,7 +86,7 @@ def hypnogram_from_annotations(annotations):
                 f"annotations overlap: [{o1}, {o1 + d1}) and onset {o2}"
             )
     if not rows:
-        return Hypnogram(np.empty(0, dtype=np.int8))
+        return np.empty(0, dtype=np.int8)
     end = rows[-1][0] + rows[-1][1]
     n = int(round(end / EPOCH_SECONDS))
     labels = np.full(n, EXCLUDED, dtype=np.int8)
@@ -105,7 +95,7 @@ def hypnogram_from_annotations(annotations):
         first = int(round(onset / EPOCH_SECONDS))
         count = int(round(duration / EPOCH_SECONDS))
         labels[first : first + count] = stage
-    return Hypnogram(labels)
+    return labels
 
 
 def parse_tals(raw):

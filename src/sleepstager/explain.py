@@ -117,27 +117,21 @@ def heatmap_mass_fraction(heatmap, intervals, sample_rate, pad_s=0.0):
     return float(heatmap.values[mask].sum()) / total
 
 
-def export_features(params, cfg, epoch_set):
-    """Per-epoch extractor feature matrix ``[N, D]`` plus the stage labels.
+def export_features_csv(params, cfg, epoch_set, path):
+    """Write the per-epoch extractor features ``[N, D]`` and stage labels as CSV.
 
     The features come from ``encode_epochs``, the extractor pass that
     evaluation scores from: each epoch once, in eval mode.
     """
     features = encode_epochs(epoch_set.epochs, params, cfg)
-    return features, epoch_set.labels.copy()
-
-
-def export_features_csv(params, cfg, epoch_set, path):
-    features, labels = export_features(params, cfg, epoch_set)
     try:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow([f"f{i}" for i in range(features.shape[1])] + ["label"])
-            for row, label in zip(features, labels):
+            for row, label in zip(features, epoch_set.labels):
                 writer.writerow([f"{v:.10g}" for v in row] + [STAGES[label]])
     except OSError as e:
         raise IoError(f"cannot write feature CSV {path}: {e}") from e
-    return features, labels
 
 
 def _svg_heatmap(heatmap, signal, width=1000.0, height=300.0):

@@ -1,9 +1,13 @@
 """Confusion-matrix construction and the full scoring metric suite.
 
 Rows are expert-annotated stages, columns are predictions, in the fixed
-order W, N1, N2, N3, REM. Per-class scores come from one-vs-rest
-TP/TN/FP/FN reduction; any 0/0 ratio is defined as 0, and classes absent
-from both truth and prediction stay out of the macro averages.
+order W, N1, N2, N3, REM. One table holds each stage's one-vs-rest
+TP/TN/FP/FN and the scores made from them: precision, recall (reported
+again as sensitivity), F1, specificity TN/(TN+FP), and the TN/(TP+FN)
+variant that some published metric listings print, kept for audit. The
+overall block and the per-class block of a report both read that table.
+Any 0/0 ratio is defined as 0, and classes absent from both truth and
+prediction stay out of the macro averages.
 """
 
 from dataclasses import dataclass
@@ -44,46 +48,31 @@ def _validate_cm(cm):
     return cm
 
 
-def one_vs_rest(cm, c):
-    """(TP, TN, FP, FN) for class ``c``."""
-    cm = np.asarray(cm, dtype=np.int64)
-    tp = cm[c, c]
-    fn = cm[c].sum() - tp
-    fp = cm[:, c].sum() - tp
-    tn = cm.sum() - tp - fn - fp
-    return int(tp), int(tn), int(fp), int(fn)
-
-
 def _ratio(num, den):
     return num / den if den else 0.0
 
 
-@dataclass
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-    sensitivity: float
-    specificity: float
-
-
-def class_prf(cm, c, printed_formula=False):
-    """Precision/recall/F1/sensitivity/specificity for one class.
-
-    ``printed_formula=True`` switches specificity to the TN/(TP+FN) variant
-    that appears in some published metric listings (kept for audit; the
-    default is the standard TN/(TN+FP)).
-    """
-    cm = _validate_cm(cm)
-    tp, tn, fp, fn = one_vs_rest(cm, c)
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    f1 = _ratio(2.0 * precision * recall, precision + recall)
-    if printed_formula:
-        specificity = _ratio(tn, tp + fn)
-    else:
-        specificity = _ratio(tn, tn + fp)
-    return ClassScores(precision, recall, f1, recall, specificity)
+def _per_class(cm):
+    """Each stage's one-vs-rest counts and scores, keyed by stage name."""
+    total = int(cm.sum())
+    table = {}
+    for c, name in enumerate(STAGES):
+        tp = int(cm[c, c])
+        fn = int(cm[c].sum()) - tp
+        fp = int(cm[:, c].sum()) - tp
+        tn = total - tp - fn - fp
+        precision = _ratio(tp, tp + fp)
+        recall = _ratio(tp, tp + fn)
+        table[name] = {
+            "precision": precision,
+            "recall": recall,
+            "f1": _ratio(2.0 * precision * recall, precision + recall),
+            "sensitivity": recall,
+            "specificity": _ratio(tn, tn + fp),
+            "specificity_printed_variant": _ratio(tn, tp + fn),
+            "tp": tp, "tn": tn, "fp": fp, "fn": fn,
+        }
+    return table
 
 
 def kappa_multiclass(cm):
@@ -103,16 +92,6 @@ def kappa_multiclass(cm):
     return float((p_o - p_e) / (1.0 - p_e))
 
 
-def supported_classes(cm):
-    """Classes that occur in truth or prediction (macro-average domain)."""
-    cm = np.asarray(cm)
-    return [
-        c
-        for c in range(NUM_STAGES)
-        if cm[c].sum() > 0 or cm[:, c].sum() > 0
-    ]
-
-
 @dataclass
 class OverallMetrics:
     accuracy: float
@@ -123,38 +102,30 @@ class OverallMetrics:
     per_class_f1: list
 
 
-def overall_metrics(cm):
-    cm = _validate_cm(cm)
-    support = supported_classes(cm)
-    scores = [class_prf(cm, c) for c in range(NUM_STAGES)]
+def _overall(cm, per_class):
+    rows = list(per_class.values())
+    # the macro averages run over the stages seen in truth or prediction
+    seen = [r for r in rows if r["tp"] + r["fn"] + r["fp"] > 0]
     return OverallMetrics(
         accuracy=float(np.trace(cm) / cm.sum()),
-        mf1=float(np.mean([scores[c].f1 for c in support])),
+        mf1=float(np.mean([r["f1"] for r in seen])),
         kappa=kappa_multiclass(cm),
-        macro_sensitivity=float(np.mean([scores[c].sensitivity for c in support])),
-        macro_specificity=float(np.mean([scores[c].specificity for c in support])),
-        per_class_f1=[scores[c].f1 for c in range(NUM_STAGES)],
+        macro_sensitivity=float(np.mean([r["sensitivity"] for r in seen])),
+        macro_specificity=float(np.mean([r["specificity"] for r in seen])),
+        per_class_f1=[r["f1"] for r in rows],
     )
+
+
+def overall_metrics(cm):
+    cm = _validate_cm(cm)
+    return _overall(cm, _per_class(cm))
 
 
 def metrics_report(cm):
     """JSON-ready report: overall block, per-class block, raw + normalized counts."""
     cm = _validate_cm(cm)
-    overall = overall_metrics(cm)
-    per_class = {}
-    for c, name in enumerate(STAGES):
-        s = class_prf(cm, c)
-        printed = class_prf(cm, c, printed_formula=True)
-        tp, tn, fp, fn = one_vs_rest(cm, c)
-        per_class[name] = {
-            "precision": s.precision,
-            "recall": s.recall,
-            "f1": s.f1,
-            "sensitivity": s.sensitivity,
-            "specificity": s.specificity,
-            "specificity_printed_variant": printed.specificity,
-            "tp": tp, "tn": tn, "fp": fp, "fn": fn,
-        }
+    per_class = _per_class(cm)
+    overall = _overall(cm, per_class)
     row_sums = cm.sum(axis=1, keepdims=True)
     normalized = np.divide(
         cm, row_sums, out=np.zeros(cm.shape, dtype=np.float64),

@@ -119,7 +119,7 @@ class StagerConfig:
 @dataclass
 class StagerParams:
     extractor: object
-    stack: object
+    stack: list  # Bi-LSTM layers [(forward cell, backward cell), ...]
     head: tuple  # (w [5, 2H], b [5])
     registry: dict  # stable name -> learnable Tensor
     states: dict  # batchnorm name -> BatchNormState
@@ -160,8 +160,8 @@ def _classify(feats, spans, params, cfg):
 
 
 def forward_batch(windows, params, cfg, mode):
-    """Run a batch of windows ``[B, W, L_epoch]`` through the full model."""
-    arr = windows.data if isinstance(windows, Tensor) else np.asarray(windows)
+    """Run an array of windows ``[B, W, L_epoch]`` through the full model."""
+    arr = np.asarray(windows)
     if arr.ndim != 3:
         raise ShapeError(f"expected windows [B, W, L], got {arr.shape}")
     b, w, l = arr.shape
@@ -169,8 +169,7 @@ def forward_batch(windows, params, cfg, mode):
         raise ShapeError(f"window size {w} != configured {cfg.window_size}")
     if l != cfg.epoch_len:
         raise ShapeError(f"epoch length {l} != configured {cfg.epoch_len}")
-    x = windows if isinstance(windows, Tensor) else Tensor(arr)
-    x = reshape(x, (b * w, 1, l))
+    x = reshape(Tensor(arr), (b * w, 1, l))
     feats, acts = feature_extractor_forward(x, cfg.extractor, params.extractor, mode)
     rows = np.arange(b * w).reshape(b, w)
     return WindowForward(

@@ -44,15 +44,6 @@ class LSTMCellParams:
         return self.w_f.data.shape[1] - self.w_f.data.shape[0]
 
 
-@dataclass
-class BiLSTMStackParams:
-    layers: list  # [(forward cell, backward cell), ...]
-
-    @property
-    def num_layers(self):
-        return len(self.layers)
-
-
 def build_lstm_cell(builder, name, input_size, hidden_size):
     """Forget-gate bias starts at 1 to keep early memory open; others at 0."""
     shape = [hidden_size, hidden_size + input_size]
@@ -69,6 +60,7 @@ def build_lstm_cell(builder, name, input_size, hidden_size):
 
 
 def build_bilstm_stack(builder, name, input_size, hidden_size, depth):
+    """The stack's layers: a list of ``(forward cell, backward cell)``."""
     if depth < 1:
         raise ConfigError("stack depth must be >= 1")
     layers = []
@@ -78,7 +70,7 @@ def build_bilstm_stack(builder, name, input_size, hidden_size, depth):
         bwd = build_lstm_cell(builder, f"{name}.l{k}.bwd", d, hidden_size)
         layers.append((fwd, bwd))
         d = 2 * hidden_size
-    return BiLSTMStackParams(layers)
+    return layers
 
 
 def _gate(zcat, w, b, act):
@@ -132,11 +124,11 @@ def bilstm_layer_forward(seq, layer):
     return [concat([f, b]) for f, b in zip(fwd, bwd)]
 
 
-def stack_forward(seq, stack):
-    if stack.num_layers < 1:
+def stack_forward(seq, layers):
+    if len(layers) < 1:
         raise ConfigError("stack depth must be >= 1")
     out = seq
-    for k, layer in enumerate(stack.layers):
+    for k, layer in enumerate(layers):
         expected = layer[0].input_size
         if out[0].data.shape[-1] != expected:
             raise ConfigError(

@@ -8,10 +8,13 @@ an epoch trains on 1/s of them: each recording gives the windows at one
 stride phase, and its phases run through a fresh random permutation every
 s epochs, so each block of s epochs makes every labeled epoch a training
 target once. A fixed phase would leave 1 - 1/s of the labels unseen, and
-the model overfits the rest. An epoch at stride s also takes 1/s of the
-optimizer steps. Adam moves each parameter by about the learning rate per
-step, so the rate grows by s to keep the run's reach, rate times steps, at
-that of stride 1. Stride 1 draws no phases and keeps the configured rate.
+the model overfits the rest. Every epoch also draws a fresh order of its
+windows before cutting them into batches. An epoch at stride s takes 1/s
+of the optimizer steps. Adam moves each parameter by about the learning
+rate per step, so the rate grows by s to keep the run's reach, rate times
+steps, at that of stride 1. Stride 1 draws no phases and keeps the
+configured rate, which may be 0 (the parameters then stay fixed) but not
+negative or non-finite.
 
 Evaluation labels every epoch of a recording once, from its window at
 stride 1 with ``replicate`` edges. Each epoch goes through the extractor
@@ -55,13 +58,15 @@ class TrainConfig:
     lr: float = 0.001
     stride_train: int = 4
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        # 0 is legal: it holds the parameters fixed
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.stride_train < 1:
             raise ConfigError("stride_train must be >= 1")
         return self
@@ -206,7 +211,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
     for _ in range(train_cfg.epochs):
         index = _window_rows(views, stride, next(phases))
         n = len(index)
-        order = rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, train_cfg.batch_size):
             chosen = index[order[start : start + train_cfg.batch_size]]
@@ -297,14 +302,13 @@ class FoldResult:
 
 
 def _run_fold(args):
-    (fold_index, train_ids, test_ids, sets_by_id, model_cfg, train_cfg,
-     checkpoint_path) = args
+    fold_index, train_sets, test_sets, model_cfg, train_cfg, checkpoint_path = args
     t0 = time.perf_counter()
     model_cfg_f = replace(model_cfg, seed=model_cfg.seed + fold_index)
     train_cfg_f = replace(train_cfg, seed=train_cfg.seed + fold_index)
-    train_sets = [sets_by_id[s] for s in train_ids]
-    test_sets = [sets_by_id[s] for s in test_ids]
-    leak = {es.subject_id for es in train_sets} & {es.subject_id for es in test_sets}
+    train_ids = [es.subject_id for es in train_sets]
+    test_ids = [es.subject_id for es in test_sets]
+    leak = set(train_ids) & set(test_ids)
     if leak:
         raise ContractViolation(f"fold {fold_index} leaks subjects: {sorted(leak)}")
     params, history = fit(train_sets, model_cfg_f, train_cfg_f,
@@ -312,8 +316,8 @@ def _run_fold(args):
     cm = evaluate(params, model_cfg_f, test_sets)
     return FoldResult(
         fold_index=fold_index,
-        train_subjects=list(train_ids),
-        test_subjects=list(test_ids),
+        train_subjects=train_ids,
+        test_subjects=test_ids,
         confusion=cm,
         loss_history=history,
         wall_clock_s=time.perf_counter() - t0,
@@ -326,8 +330,11 @@ def cross_validate(epoch_sets, k, model_cfg, train_cfg, jobs=1,
 
     Returns ``(fold_results, pooled_report)`` where the pooled report is
     computed on the sum of the per-fold confusion matrices (micro pooling),
-    with per-fold metrics available on each FoldResult.
+    with per-fold metrics available on each FoldResult. Each fold's task
+    carries its own train and test recordings.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     sets_by_id = {}
     for es in epoch_sets:
         if es.subject_id in sets_by_id:
@@ -340,7 +347,8 @@ def cross_validate(epoch_sets, k, model_cfg, train_cfg, jobs=1,
         path = None
         if checkpoint_dir is not None:
             path = str(Path(checkpoint_dir) / f"fold_{i}.sstg")
-        tasks.append((i, train_ids, test_ids, sets_by_id, model_cfg, train_cfg, path))
+        tasks.append((i, [sets_by_id[s] for s in train_ids],
+                      [sets_by_id[s] for s in test_ids], model_cfg, train_cfg, path))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_fold, tasks))

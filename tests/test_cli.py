@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from sleepstager import STAGES
+from sleepstager import STAGES, cli
+from sleepstager.blocks import FeatureExtractorConfig
 from sleepstager.cli import build_parser, main
 from sleepstager.config import KEYS, RunConfig, load_config_file
 from sleepstager.data import load_epochset, write_edf
-from sleepstager.errors import ConfigError
+from sleepstager.errors import ConfigError, StagerError
+from sleepstager.model import StagerConfig, build_stager_params, checkpoint_save
 
 
 def tal_bytes(rows):
@@ -53,6 +55,19 @@ TINY_MODEL_FLAGS = [
 ]
 
 
+def untrained_checkpoint(path):
+    """An 8 Hz tiny model that never trained: no batchnorm state is initialized."""
+    cfg = StagerConfig(
+        window_size=3,
+        extractor=FeatureExtractorConfig.create(
+            "se_resnet_18", width_multiplier=0.0625, reduction_ratio=4
+        ),
+        lstm_hidden=4, lstm_depth=1, sample_rate=8.0,
+    ).validate()
+    checkpoint_save(build_stager_params(cfg), cfg, path)
+    return path
+
+
 class TestConfigSurface:
     def test_precedence_per_key(self, tmp_path):
         from sleepstager.config import convert
@@ -85,10 +100,12 @@ class TestConfigSurface:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
-        # the head and the GradCAM score are fixed parts of the design
+        # the head, the GradCAM score and the window reshuffle are fixed
+        # parts of the design
         for text in ("[train]\nlearning_rate = 0.1\n",
                      "[model]\nhead_widths = 5\n",
-                     "[explain]\ngradient_source = log_prob\n"):
+                     "[explain]\ngradient_source = log_prob\n",
+                     "[train]\nshuffle = false\n"):
             cfg.write_text(text)
             with pytest.raises(ConfigError):
                 load_config_file(cfg)
@@ -266,18 +283,7 @@ class TestTrainEvalExplain:
     def test_rate_mismatch_exits_2(self, tmp_path, capsys):
         # a checkpoint trained at 8 Hz cannot read a 16 Hz cache: eval and
         # explain both say so as a config error, before any forward pass
-        from sleepstager.blocks import FeatureExtractorConfig
-        from sleepstager.model import StagerConfig, build_stager_params, checkpoint_save
-
-        cfg = StagerConfig(
-            window_size=3,
-            extractor=FeatureExtractorConfig.create(
-                "se_resnet_18", width_multiplier=0.0625, reduction_ratio=4
-            ),
-            lstm_hidden=4, lstm_depth=1, sample_rate=8.0,
-        ).validate()
-        ckpt = tmp_path / "model.sstg"
-        checkpoint_save(build_stager_params(cfg), cfg, ckpt)
+        ckpt = untrained_checkpoint(tmp_path / "model.sstg")
         fast = tmp_path / "fast"
         assert main(["synth", "--subjects", "1", "--epochs-per-subject", "4",
                      "--sample-rate", "16", "--seed", "1",
@@ -311,3 +317,57 @@ class TestTrainEvalExplain:
         assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
         history = json.loads((out / "loss_history.json").read_text())
         assert history["epochs"] == 1 and history["seed"] == 9
+
+
+def typed_errors():
+    """``StagerError`` and every class below it."""
+    found, pending = [], [StagerError]
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+class TestExitCodes:
+    def test_every_typed_error_exits_with_one_line(self, tmp_path, monkeypatch,
+                                                   capsys):
+        errors = typed_errors()
+        assert len(errors) >= 18
+        for cls in errors:
+            def fail(*args, cls=cls):
+                raise cls(f"{cls.__name__} raised")
+
+            monkeypatch.setattr(cli, "synth_generate", fail)
+            code = main(["synth", "--out-dir", str(tmp_path)])
+            kind = "config" if cls is ConfigError else "data"
+            assert code == (2 if cls is ConfigError else 3), cls.__name__
+            assert capsys.readouterr().err.splitlines() == [
+                f"{kind} error: {cls.__name__} raised"
+            ]
+
+    def test_uninitialized_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "model.sstg")
+        assert main(["eval", "--checkpoint", str(ckpt), "--cache-dir",
+                     str(synth_cache), "--out-dir", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: "), err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.01"])
+    def test_bad_lr_exits_2(self, synth_cache, tmp_path, capsys, lr):
+        assert main(["train", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,
+                     "--lr", lr, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: lr must be")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, synth_cache, tmp_path, capsys, jobs):
+        assert main(["cv", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,
+                     "--k", "2", "--jobs", jobs, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: jobs must be")
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_shuffle_flag_is_unknown(self, tmp_path):
+        for command in ("train", "cv"):
+            with pytest.raises(SystemExit) as exit_:
+                main([command, "--shuffle", "false", "--out-dir", str(tmp_path)])
+            assert exit_.value.code == 2

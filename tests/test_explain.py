@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from sleepstager import STAGES
 from sleepstager.blocks import FeatureExtractorConfig
 from sleepstager.data import synth_generate
 from sleepstager.errors import InvalidInput, IoError, ShapeError
 from sleepstager.explain import (
     Heatmap,
     cam_from,
-    export_features,
     export_features_csv,
     gradcam,
     heatmap_mass_fraction,
@@ -17,7 +17,12 @@ from sleepstager.explain import (
     render_heatmap,
     upsample_linear,
 )
-from sleepstager.model import StagerConfig, build_stager_params, forward_batch
+from sleepstager.model import (
+    StagerConfig,
+    build_stager_params,
+    encode_epochs,
+    forward_batch,
+)
 from sleepstager.training import TrainConfig, fit
 
 
@@ -151,20 +156,13 @@ class TestExportFeatures:
         for state in params.states.values():
             state.initialized = True  # neutral running stats
         rng = np.random.default_rng(1)
-        from sleepstager.data import EpochSet
-
-        es = EpochSet(rng.normal(size=(2, 3000)), [0, 1], "s", "c", 100.0)
-        feats, labels = export_features(params, cfg, es)
+        feats = encode_epochs(rng.normal(size=(2, 3000)), params, cfg)
         assert feats.shape == (2, 512)
-        np.testing.assert_array_equal(labels, [0, 1])
 
     def test_duplicate_epochs_identical_rows(self, trained):
         cfg, params, data = trained
-        from sleepstager.data import EpochSet
-
         epoch = data[0].epochs[0]
-        es = EpochSet(np.stack([epoch, epoch]), [0, 0], "s", "c", 8.0)
-        feats, _ = export_features(params, cfg, es)
+        feats = encode_epochs(np.stack([epoch, epoch]), params, cfg)
         np.testing.assert_array_equal(feats[0], feats[1])
 
     def test_zero_epoch_neutral_stats_zero_row(self):
@@ -172,21 +170,21 @@ class TestExportFeatures:
         params = build_stager_params(cfg)
         for state in params.states.values():
             state.initialized = True  # mean 0, var 1: eval BN is a pure scale
-        from sleepstager.data import EpochSet
-
-        es = EpochSet(np.zeros((1, cfg.epoch_len)), [0], "s", "c", 8.0)
-        feats, _ = export_features(params, cfg, es)
+        feats = encode_epochs(np.zeros((1, cfg.epoch_len)), params, cfg)
         np.testing.assert_allclose(feats[0], 0.0, atol=1e-15)
 
     def test_csv_export(self, trained, tmp_path):
         cfg, params, data = trained
         path = tmp_path / "features.csv"
-        feats, _ = export_features_csv(params, cfg, data[0], path)
+        export_features_csv(params, cfg, data[0], path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(data[0]) + 1
         header = lines[0].split(",")
         assert header[-1] == "label"
         assert len(header) == cfg.extractor.feature_dim + 1
+        assert [line.split(",")[-1] for line in lines[1:]] == [
+            STAGES[label] for label in data[0].labels
+        ]
 
 
 class TestRender:

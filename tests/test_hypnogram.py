@@ -52,21 +52,22 @@ class TestStageMapping:
 class TestExpansion:
     def test_sixty_seconds_of_wake(self):
         h = hypnogram_from_annotations([(0, 60, "Sleep stage W")])
-        np.testing.assert_array_equal(h.labels, [W, W])
+        assert h.dtype == np.int8
+        np.testing.assert_array_equal(h, [W, W])
 
     def test_stage_four_merges_to_n3(self):
         h = hypnogram_from_annotations([(0, 30, "Sleep stage 4")])
-        np.testing.assert_array_equal(h.labels, [N3])
+        np.testing.assert_array_equal(h, [N3])
 
     def test_movement_excluded(self):
         h = hypnogram_from_annotations([(0, 30, "Movement time")])
-        np.testing.assert_array_equal(h.labels, [EXCLUDED])
+        np.testing.assert_array_equal(h, [EXCLUDED])
 
     def test_gap_becomes_excluded(self):
         h = hypnogram_from_annotations(
             [(0, 30, "Sleep stage W"), (90, 30, "Sleep stage 2")]
         )
-        np.testing.assert_array_equal(h.labels, [W, EXCLUDED, EXCLUDED, N2])
+        np.testing.assert_array_equal(h, [W, EXCLUDED, EXCLUDED, N2])
 
     def test_overlap_rejected(self):
         with pytest.raises(AnnotationError):
@@ -89,11 +90,11 @@ class TestCsv:
     def test_with_header(self):
         text = "onset,duration,stage\n0,30,Sleep stage W\n30,60,Sleep stage 2\n"
         h = parse_hypnogram_csv(text)
-        np.testing.assert_array_equal(h.labels, [W, N2, N2])
+        np.testing.assert_array_equal(h, [W, N2, N2])
 
     def test_without_header(self):
         h = parse_hypnogram_csv("0,30,W\n30,30,REM\n")
-        np.testing.assert_array_equal(h.labels, [W, REM])
+        np.testing.assert_array_equal(h, [W, REM])
 
     def test_empty_rejected(self):
         with pytest.raises(AnnotationError):
@@ -134,7 +135,7 @@ class TestEdfPlus:
             ]
         )
         h = parse_hypnogram_edf(blob)
-        np.testing.assert_array_equal(h.labels, [W, N2, N2, N3])
+        np.testing.assert_array_equal(h, [W, N2, N2, N3])
 
     def test_no_stage_annotations_rejected(self):
         payload = tal_bytes([(0, 30, "Lights off")])

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from sleepstager import NUM_STAGES
+from sleepstager import NUM_STAGES, STAGES
 from sleepstager.errors import InvalidInput
 from sleepstager.metrics import (
-    class_prf,
     confusion_from,
     kappa_multiclass,
     metrics_report,
     overall_metrics,
-    one_vs_rest,
 )
 
 W, N1, N2, N3, REM = range(5)
@@ -85,32 +83,35 @@ class TestConfusion:
             confusion_from([0, 1], [0])
 
 
+def class_scores(cm, c):
+    return metrics_report(cm)["per_class"][STAGES[c]]
+
+
 class TestClassScores:
     def test_hand_values_class_w(self):
-        s = class_prf(five_sample_matrix(), W)
-        assert s.precision == 0.5
-        assert s.recall == 1.0
-        assert s.f1 == pytest.approx(2 / 3)
-        assert s.sensitivity == s.recall
+        s = class_scores(five_sample_matrix(), W)
+        assert s["precision"] == 0.5
+        assert s["recall"] == 1.0
+        assert s["f1"] == pytest.approx(2 / 3)
+        assert s["sensitivity"] == s["recall"]
 
     def test_zero_tp_convention(self):
-        s = class_prf(five_sample_matrix(), N1)
-        assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
+        s = class_scores(five_sample_matrix(), N1)
+        assert (s["precision"], s["recall"], s["f1"]) == (0.0, 0.0, 0.0)
 
     def test_perfect_diagonal(self):
         cm = np.diag([3, 4, 5, 6, 7])
         for c in range(NUM_STAGES):
-            s = class_prf(cm, c)
-            assert s.precision == s.recall == s.f1 == s.sensitivity == 1.0
-            assert s.specificity == 1.0
+            s = class_scores(cm, c)
+            assert s["precision"] == s["recall"] == s["f1"] == s["sensitivity"] == 1.0
+            assert s["specificity"] == 1.0
 
     def test_printed_specificity_variant(self):
-        cm = five_sample_matrix()
-        tp, tn, fp, fn = one_vs_rest(cm, W)
-        printed = class_prf(cm, W, printed_formula=True)
-        standard = class_prf(cm, W)
-        assert printed.specificity == tn / (tp + fn)
-        assert standard.specificity == tn / (tn + fp)
+        s = class_scores(five_sample_matrix(), W)
+        # W: one hit, one N1 epoch called W, three epochs neither
+        assert (s["tp"], s["tn"], s["fp"], s["fn"]) == (1, 3, 1, 0)
+        assert s["specificity_printed_variant"] == 3 / 1
+        assert s["specificity"] == 3 / 4
 
 
 class TestOverall:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sleepstager import EXCLUDED, STAGE_TO_INDEX, epoch_samples
 from sleepstager.data import (
     EpochSet,
-    Hypnogram,
     epochize,
     kfold_split,
     load_epochset,
@@ -48,14 +47,14 @@ def recording_with(rate, n_epochs, label="EEG Fpz-Cz"):
 class TestEpochize:
     def test_hundred_hz_three_epochs(self):
         rec = recording_with(100, 3)
-        h = Hypnogram(np.array([W, N2, W], dtype=np.int8))
+        h = np.array([W, N2, W], dtype=np.int8)
         es = epochize(rec, "EEG Fpz-Cz", h, subject_id="s1")
         assert es.epochs.shape == (3, 3000)
         np.testing.assert_array_equal(es.labels, [W, N2, W])
 
     def test_excluded_epochs_dropped(self):
         rec = recording_with(100, 3)
-        h = Hypnogram(np.array([W, EXCLUDED, N2], dtype=np.int8))
+        h = np.array([W, EXCLUDED, N2], dtype=np.int8)
         es = epochize(rec, "EEG Fpz-Cz", h)
         assert len(es) == 2
         np.testing.assert_array_equal(es.labels, [W, N2])
@@ -65,18 +64,18 @@ class TestEpochize:
 
     def test_125_hz_epoch_length(self):
         rec = recording_with(125, 2)
-        h = Hypnogram(np.array([W, W], dtype=np.int8))
+        h = np.array([W, W], dtype=np.int8)
         es = epochize(rec, "EEG Fpz-Cz", h)
         assert es.epoch_len == 3750
 
     def test_missing_channel(self):
         rec = recording_with(100, 1)
         with pytest.raises(ChannelNotFound):
-            epochize(rec, "EEG Pz-Oz", Hypnogram(np.array([W], dtype=np.int8)))
+            epochize(rec, "EEG Pz-Oz", np.array([W], dtype=np.int8))
 
     def test_hypnogram_longer_than_signal_truncated(self):
         rec = recording_with(100, 2)
-        h = Hypnogram(np.array([W, W, W, W], dtype=np.int8))
+        h = np.array([W, W, W, W], dtype=np.int8)
         assert len(epochize(rec, "EEG Fpz-Cz", h)) == 2
 
 

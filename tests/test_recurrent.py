@@ -7,7 +7,6 @@ from sleepstager.autodiff import Tensor, grad_check, mul, sum_all
 from sleepstager.blocks import ParamBuilder
 from sleepstager.errors import ConfigError, InvalidInput
 from sleepstager.recurrent import (
-    BiLSTMStackParams,
     bilstm_layer_forward,
     build_bilstm_stack,
     build_lstm_cell,
@@ -154,7 +153,7 @@ class TestStack:
         stack = build_bilstm_stack(builder, "stk", 3, 4, 1)
         seq = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
         a = stack_forward(seq, stack)
-        b = bilstm_layer_forward(seq, stack.layers[0])
+        b = bilstm_layer_forward(seq, stack[0])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.data, y.data)
 
@@ -181,10 +180,9 @@ class TestStack:
               build_lstm_cell(builder, "a.b", 3, 4))
         l1 = (build_lstm_cell(builder, "b.f", 5, 4),
               build_lstm_cell(builder, "b.b", 5, 4))
-        stack = BiLSTMStackParams([l0, l1])
         seq = [Tensor(np.zeros((1, 3)))]
         with pytest.raises(ConfigError):
-            stack_forward(seq, stack)
+            stack_forward(seq, [l0, l1])
 
     def test_zero_depth_rejected(self):
         builder = ParamBuilder(seed=16)

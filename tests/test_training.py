@@ -9,14 +9,13 @@ import pytest
 from sleepstager.autodiff import Tape, Tensor, backward, grad_check, log_softmax, zero_grads
 from sleepstager.blocks import FeatureExtractorConfig
 from sleepstager.data import EpochSet, make_windows, synth_generate
-from sleepstager.data.windows import WindowView
 from sleepstager.errors import (
     ConfigError,
     ContractViolation,
     EmptyDataset,
     InvalidLabel,
 )
-from sleepstager import model
+from sleepstager import model, training
 from sleepstager.metrics import metrics_report, overall_metrics
 from sleepstager.model import StagerConfig, build_stager_params, forward_batch
 from sleepstager.training import (
@@ -170,49 +169,55 @@ class TestFit:
         assert len(make_windows(es, 9, 4, "skip")) == 4
 
     def test_stride_schedule_covers_every_window(self, small_synth, monkeypatch):
-        # one unshuffled batch per epoch, so each epoch gathers every
-        # recording's training windows once, in recording order
+        # record the (view, window) rows fit draws for each epoch; one batch
+        # holds a whole epoch, in the order fit shuffled it
         stride = 4
         cfg = supertiny_config(rate=8.0)
-        gathered = []
-        gather = WindowView.gather
+        drawn = []
+        window_rows = training._window_rows
 
-        def recording_gather(view, ks):
-            gathered.append((view, np.asarray(ks)))
-            return gather(view, ks)
+        def recording_rows(views, stride, phases):
+            rows = window_rows(views, stride, phases)
+            drawn.append((views, rows))
+            return rows
 
-        monkeypatch.setattr(WindowView, "gather", recording_gather)
+        monkeypatch.setattr(training, "_window_rows", recording_rows)
         tc = TrainConfig(epochs=2 * stride, batch_size=1000, lr=0.0,
-                         stride_train=stride, seed=3, shuffle=False)
+                         stride_train=stride, seed=3)
         params, history = fit(small_synth, cfg, tc)
         monkeypatch.undo()
-        assert len(gathered) == tc.epochs * len(small_synth)
+        # _training_windows makes the first call, then fit one per epoch
+        assert len(drawn) == tc.epochs + 1
+        views = drawn[0][0]
+        assert len(views) == len(small_synth)
+        assert all(view.epoch_set is es for view, es in zip(views, small_synth))
+        per_epoch = []
+        for epoch_views, rows in drawn[1:]:
+            assert epoch_views is views
+            per_epoch.append([rows[rows[:, 0] == s, 1] for s in range(len(views))])
         half = cfg.middle_index
-        for s, es in enumerate(small_synth):
+        for s, (view, es) in enumerate(zip(views, small_synth)):
             n1 = len(make_windows(es, cfg.window_size, 1, "skip"))
-            per_epoch = [gathered[e * len(small_synth) + s] for e in range(tc.epochs)]
-            for view, ks in per_epoch:
-                assert view.epoch_set is es
+            for ks in (epoch[s] for epoch in per_epoch):
                 assert ks[0] < stride and np.all(np.diff(ks) == stride)
                 assert ks[-1] + stride >= n1 > ks[-1]
                 assert abs(len(ks) - n1 / stride) < 1.0
             # every block of `stride` epochs makes every centre a target
             for block in range(2):
                 centres = set()
-                for view, ks in per_epoch[block * stride:(block + 1) * stride]:
-                    centres.update(view.centers()[ks].tolist())
+                for epoch in per_epoch[block * stride:(block + 1) * stride]:
+                    centres.update(view.centers()[epoch[s]].tolist())
                 assert centres == set(range(half, len(es) - half))
         # lr 0 keeps the parameters fixed: each history entry is the mean
         # loss over exactly that epoch's windows
-        for e in range(tc.epochs):
-            epoch = gathered[e * len(small_synth):(e + 1) * len(small_synth)]
-            batch = np.concatenate([view.gather(ks) for view, ks in epoch])
-            targets = np.concatenate([view.labels()[ks] for view, ks in epoch])
+        for e, epoch in enumerate(per_epoch):
+            batch = np.concatenate([v.gather(ks) for v, ks in zip(views, epoch)])
+            targets = np.concatenate([v.labels()[ks] for v, ks in zip(views, epoch)])
             out = forward_batch(batch, params, cfg, "train")
             assert history[e] == pytest.approx(nll_loss(out.log_probs, targets).item(),
                                                rel=1e-12)
-        shuffled = replace(tc, lr=0.001, shuffle=True, epochs=stride)
-        assert fit(small_synth, cfg, shuffled)[1] == fit(small_synth, cfg, shuffled)[1]
+        trained = replace(tc, lr=0.001, epochs=stride)
+        assert fit(small_synth, cfg, trained)[1] == fit(small_synth, cfg, trained)[1]
 
     def test_empty_training_set(self):
         cfg = supertiny_config()
