@@ -265,12 +265,11 @@ def cmd_explain(run, out_dir):
     es = load_epochset(cache)
     _check_rate(es.sample_rate, model_cfg)
     view = make_windows(es, model_cfg.window_size, 1, "replicate")
+    bad = [idx for idx in run["epoch_indices"] if not 0 <= idx < len(es)]
+    if bad:
+        raise InvalidInput(f"epoch index {bad[0]} outside 0..{len(es) - 1} for {subject}")
     summary = {"subject": subject, "epochs": []}
     for idx in run["epoch_indices"]:
-        if not 0 <= idx < len(es):
-            raise InvalidInput(
-                f"epoch index {idx} outside 0..{len(es) - 1} for {subject}"
-            )
         window = view.gather([idx])[0]
         heatmap = gradcam(params, model_cfg, window)
         base = out_dir / f"{subject}_epoch{idx:05d}"
@@ -359,7 +358,10 @@ def main(argv=None):
     try:
         run = _run_config(args)
         out_dir = Path(run.require("out_dir"))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise IoError(f"cannot create output directory {out_dir}: {e}") from e
         return args.func(run, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

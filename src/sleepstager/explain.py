@@ -15,6 +15,11 @@ Integrated Grad-CAM (Sattarzadeh et al., 2021) uses it. At the window
 alone the gradients saturate. Its context epochs already decide the
 stage, so the middle epoch's events barely move the score there, although
 removing the events from the whole window flips the prediction.
+
+Only the layers above the final conv maps are differentiated: each step's
+extractor runs with no tape open, and its maps become a fresh leaf under
+pooling, the Bi-LSTM and the head. A heatmap costs ``PATH_STEPS`` (16)
+extractor passes and as many backward sweeps, none through a conv layer.
 """
 
 import csv
@@ -23,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NUM_STAGES, STAGES
-from .autodiff import Tape, backward, take_per_row, zero_grads
+from .autodiff import Tape, Tensor, backward, global_avg_pool, take_per_row, zero_grads
+from .blocks import feature_extractor_forward
 from .errors import InvalidInput, IoError
-from .model import encode_epochs, forward_batch
+from .model import classify, encode_epochs, window_epochs
 
 PATH_STEPS = 16
 
@@ -70,39 +76,33 @@ def normalize_minmax(values):
 def gradcam(params, cfg, window, target=None):
     """Relevance heatmap for the middle epoch of one window ``[W, L]`` (eval mode).
 
-    The target defaults to the class predicted for the unscaled window;
-    the channel weights come from the path-averaged gradients and weight
-    the unscaled window's activations.
+    Each of the ``PATH_STEPS`` extractor passes, one per path step, is
+    differentiated from its final conv maps upward only. The last step, the
+    unscaled window, runs first: it gives the prediction (the default
+    target) and the activations that the path-averaged gradients weight.
     """
-    arr = np.asarray(window, dtype=np.float64)
-    out = forward_batch(arr[None], params, cfg, "eval")
-    predicted = int(np.argmax(out.log_probs.data[0]))
-    chosen = predicted if target is None else int(target)
-    if not 0 <= chosen < NUM_STAGES:
-        raise InvalidInput(f"target class {chosen} outside 0..{NUM_STAGES - 1}")
-    acts = out.activations.data[out.middle_rows[0]]
-    grads = np.zeros_like(acts)
-    tensors = list(params.registry.values())
-    for k in range(1, PATH_STEPS + 1):
-        zero_grads(tensors)
+    epochs = window_epochs(np.asarray(window)[None], cfg)
+    if target is not None and not 0 <= int(target) < NUM_STAGES:
+        raise InvalidInput(f"target class {target} outside 0..{NUM_STAGES - 1}")
+    spans, mid = np.arange(cfg.window_size)[None], cfg.middle_index
+    zero_grads(params.registry.values())
+    grads = [None] * PATH_STEPS  # indexed by step, so they sum in step order
+    for k in (PATH_STEPS, *range(1, PATH_STEPS)):
+        x = Tensor(epochs * (k / PATH_STEPS))
+        _, maps = feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
+        leaf = Tensor(maps.data, requires_grad=True)
         with Tape() as tape:
-            out = forward_batch(arr[None] * (k / PATH_STEPS), params, cfg, "eval")
-            score = take_per_row(out.log_probs, np.array([chosen]))
-            backward(score, tape)
-        grads += out.activations.grad[out.middle_rows[0]]
-    zero_grads(tensors)
-    grads /= PATH_STEPS
-    raw = cam_from(acts, grads)
-    raw_max = float(raw.max())
-    upsampled = upsample_linear(raw, cfg.epoch_len)
-    values, empty = normalize_minmax(upsampled)
-    return Heatmap(
-        values=values,
-        target_class=chosen,
-        predicted_class=predicted,
-        raw_max=raw_max,
-        empty=empty,
-    )
+            log_probs = classify(global_avg_pool(leaf), spans, params, cfg)
+            if k == PATH_STEPS:
+                predicted = int(np.argmax(log_probs.data[0]))
+                chosen = predicted if target is None else int(target)
+                acts = maps.data[mid]
+            backward(take_per_row(log_probs, np.array([chosen])), tape)
+        grads[k - 1] = leaf.grad[mid].copy()
+    zero_grads(params.registry.values())
+    raw = cam_from(acts, sum(grads) / PATH_STEPS)
+    values, empty = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
+    return Heatmap(values, chosen, predicted, float(raw.max()), empty)
 
 
 def heatmap_mass_fraction(heatmap, intervals, sample_rate, pad_s=0.0):

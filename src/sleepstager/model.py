@@ -7,7 +7,7 @@ score a whole recording, ``forward_recording`` encodes each epoch once, in
 extractor calls of ``EVAL_BATCH`` epochs, and builds the windows from the
 features. Every entry point takes a batch: windows ``[B, W, L]`` in
 ``forward_batch`` and a recording's epochs ``[N, L]`` in
-``forward_recording``; GradCAM runs its window as a batch of one.
+``forward_recording``; both, and GradCAM, end in the head ``classify``.
 Checkpoints serialize every learnable tensor plus batchnorm running state
 bit-exactly.
 """
@@ -24,7 +24,6 @@ from .autodiff import (
     add_rowvec,
     log_softmax,
     matmul,
-    reshape,
     take_rows,
     transpose,
 )
@@ -142,11 +141,9 @@ def build_stager_params(cfg):
 @dataclass
 class WindowForward:
     log_probs: Tensor  # [B, 5]
-    activations: Tensor  # [B*W, C_last, L_last], final conv maps of every epoch
-    middle_rows: np.ndarray  # row indices of the middle epochs in `activations`
 
 
-def _classify(feats, spans, params, cfg):
+def classify(feats, spans, params, cfg):
     """Log-probabilities ``[B, 5]`` of windows of per-epoch features.
 
     Row ``b`` of ``spans`` ``[B, W]`` lists the rows of ``feats`` that make
@@ -159,9 +156,9 @@ def _classify(feats, spans, params, cfg):
     return log_softmax(logits, axis=1)
 
 
-def forward_batch(windows, params, cfg, mode):
-    """Run an array of windows ``[B, W, L_epoch]`` through the full model."""
-    arr = np.asarray(windows)
+def window_epochs(windows, cfg):
+    """Check windows ``[B, W, L_epoch]``; return their epochs ``[B*W, 1, L_epoch]``."""
+    arr = np.asarray(windows, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"expected windows [B, W, L], got {arr.shape}")
     b, w, l = arr.shape
@@ -169,14 +166,15 @@ def forward_batch(windows, params, cfg, mode):
         raise ShapeError(f"window size {w} != configured {cfg.window_size}")
     if l != cfg.epoch_len:
         raise ShapeError(f"epoch length {l} != configured {cfg.epoch_len}")
-    x = reshape(Tensor(arr), (b * w, 1, l))
-    feats, acts = feature_extractor_forward(x, cfg.extractor, params.extractor, mode)
-    rows = np.arange(b * w).reshape(b, w)
-    return WindowForward(
-        log_probs=_classify(feats, rows, params, cfg),
-        activations=acts,
-        middle_rows=rows[:, cfg.middle_index],
-    )
+    return arr.reshape(b * w, 1, l)
+
+
+def forward_batch(windows, params, cfg, mode):
+    """Run an array of windows ``[B, W, L_epoch]`` through the full model."""
+    x = Tensor(window_epochs(windows, cfg))
+    feats, _ = feature_extractor_forward(x, cfg.extractor, params.extractor, mode)
+    rows = np.arange(len(x.data)).reshape(-1, cfg.window_size)
+    return WindowForward(log_probs=classify(feats, rows, params, cfg))
 
 
 def encode_epochs(epochs, params, cfg):
@@ -209,7 +207,7 @@ def forward_recording(epochs, spans, params, cfg):
     indices of window b, whose features the Bi-LSTM and the head then read.
     """
     features = Tensor(encode_epochs(epochs, params, cfg))
-    return _classify(features, spans, params, cfg).data
+    return classify(features, spans, params, cfg).data
 
 
 # ---------------------------------------------------------------------------

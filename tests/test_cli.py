@@ -55,8 +55,12 @@ TINY_MODEL_FLAGS = [
 ]
 
 
-def untrained_checkpoint(path):
-    """An 8 Hz tiny model that never trained: no batchnorm state is initialized."""
+def untrained_checkpoint(path, initialized=False):
+    """An 8 Hz tiny model that never trained.
+
+    Its batchnorm state is uninitialized, or with ``initialized`` marked
+    initialized at the neutral running stats (mean 0, variance 1).
+    """
     cfg = StagerConfig(
         window_size=3,
         extractor=FeatureExtractorConfig.create(
@@ -64,7 +68,10 @@ def untrained_checkpoint(path):
         ),
         lstm_hidden=4, lstm_depth=1, sample_rate=8.0,
     ).validate()
-    checkpoint_save(build_stager_params(cfg), cfg, path)
+    params = build_stager_params(cfg)
+    for state in params.states.values():
+        state.initialized = initialized
+    checkpoint_save(params, cfg, path)
     return path
 
 
@@ -296,6 +303,23 @@ class TestTrainEvalExplain:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: cache rate 16.0 Hz != checkpoint's 8.0 Hz"] * 2
 
+    def test_bad_epoch_index_renders_nothing(self, synth_cache, tmp_path, capsys):
+        # every index is checked before the first heatmap is computed
+        ckpt = untrained_checkpoint(tmp_path / "model.sstg", initialized=True)
+        common = ["explain", "--checkpoint", str(ckpt), "--cache-dir",
+                  str(synth_cache), "--subject", "synth-000"]
+        good = tmp_path / "good"
+        assert main([*common, "--epoch-indices", "0", "--out-dir", str(good)]) == 0
+        assert (good / "synth-000_epoch00000.csv").exists()
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert main([*common, "--epoch-indices", "0,99999",
+                     "--out-dir", str(bad)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: epoch index 99999 outside 0..15 for synth-000"
+        ]
+        assert list(bad.iterdir()) == []
+
     def test_config_file_drives_training(self, synth_cache, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(
@@ -345,6 +369,16 @@ class TestExitCodes:
             assert capsys.readouterr().err.splitlines() == [
                 f"{kind} error: {cls.__name__} raised"
             ]
+
+    def test_out_dir_under_a_file_exits_3(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        assert main(["synth", "--subjects", "1", "--epochs-per-subject", "2",
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"data error: cannot create output directory {out}: ")
 
     def test_uninitialized_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
         ckpt = untrained_checkpoint(tmp_path / "model.sstg")

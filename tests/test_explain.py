@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from sleepstager import STAGES
-from sleepstager.blocks import FeatureExtractorConfig
+from sleepstager import STAGES, explain
+from sleepstager.autodiff import Tape, Tensor, backward, take_per_row, zero_grads
+from sleepstager.blocks import FeatureExtractorConfig, feature_extractor_forward
 from sleepstager.data import synth_generate
 from sleepstager.errors import InvalidInput, IoError, ShapeError
 from sleepstager.explain import (
+    PATH_STEPS,
     Heatmap,
     cam_from,
     export_features_csv,
@@ -20,8 +22,8 @@ from sleepstager.explain import (
 from sleepstager.model import (
     StagerConfig,
     build_stager_params,
+    classify,
     encode_epochs,
-    forward_batch,
 )
 from sleepstager.training import TrainConfig, fit
 
@@ -119,29 +121,72 @@ class TestGradcam:
         assert heatmap_mass_fraction(empty, [(0.0, 4.0)], sample_rate=1.0) == 0.0
 
     def test_consumes_the_returned_activation_tensor(self, trained):
-        # the map weights the middle epoch's row of the batch activations
-        # by the path-averaged gradients that reach that same row
-        from sleepstager.autodiff import Tape, backward, take_per_row, zero_grads
-        from sleepstager.explain import PATH_STEPS
-
+        # bit for bit the algorithm that recorded the extractor on the tape:
+        # one unscaled pass for the prediction and the activations, then
+        # PATH_STEPS taped passes whose gradients are read at the conv maps
         cfg, params, data = trained
         window = data[0].epochs[:3]
-        h = gradcam(params, cfg, window)
-        out = forward_batch(window[None], params, cfg, "eval")
-        mid = out.middle_rows[0]
-        grads = np.zeros_like(out.activations.data[mid])
+        spans, mid = np.arange(cfg.window_size)[None], cfg.middle_index
         tensors = list(params.registry.values())
-        for k in range(1, PATH_STEPS + 1):
+
+        def extract(scale):
+            x = Tensor((window * scale)[:, None, :])
+            return feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
+
+        def reference(target):
+            feats, acts = extract(1.0)
+            predicted = int(np.argmax(classify(feats, spans, params, cfg).data[0]))
+            chosen = predicted if target is None else target
+            grads = np.zeros_like(acts.data[mid])
+            for k in range(1, PATH_STEPS + 1):
+                zero_grads(tensors)
+                with Tape() as tape:
+                    feats, maps = extract(k / PATH_STEPS)
+                    log_probs = classify(feats, spans, params, cfg)
+                    backward(take_per_row(log_probs, np.array([chosen])), tape)
+                grads += maps.grad[mid]
             zero_grads(tensors)
-            with Tape() as tape:
-                step = forward_batch(window[None] * (k / PATH_STEPS), params, cfg, "eval")
-                backward(take_per_row(step.log_probs, [h.target_class]), tape)
-            grads += step.activations.grad[mid]
-        zero_grads(tensors)
-        raw = cam_from(out.activations.data[mid], grads / PATH_STEPS)
-        assert h.raw_max == pytest.approx(float(raw.max()), rel=1e-12)
-        expected, _ = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
-        np.testing.assert_allclose(h.values, expected, rtol=1e-9, atol=1e-12)
+            raw = cam_from(acts.data[mid], grads / PATH_STEPS)
+            values, _ = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
+            return values, float(raw.max()), predicted, chosen
+
+        for target in (None, 3):
+            h = gradcam(params, cfg, window, target)
+            values, raw_max, predicted, chosen = reference(target)
+            assert np.array_equal(h.values, values)
+            assert h.raw_max == raw_max
+            assert h.predicted_class == predicted
+            assert h.target_class == chosen
+            assert raw_max > 0.0
+
+    def test_extractor_stays_off_the_tape(self, trained, monkeypatch):
+        # no gradient reaches an extractor weight, and each path step runs
+        # the extractor once, the unscaled window included
+        cfg, params, data = trained
+        extractor = [t for name, t in params.registry.items()
+                     if name.startswith("extractor.")]
+        assert extractor
+        calls = {"backward": 0, "extractor": 0}
+        real_backward = explain.backward
+        real_extractor = explain.feature_extractor_forward
+
+        def checked_backward(loss, tape):
+            real_backward(loss, tape)
+            calls["backward"] += 1
+            assert params.registry["head.0.w"].grad is not None
+            assert all(t.grad is None for t in extractor)
+
+        def counted_extractor(*args):
+            calls["extractor"] += 1
+            return real_extractor(*args)
+
+        monkeypatch.setattr(explain, "backward", checked_backward)
+        monkeypatch.setattr(explain, "feature_extractor_forward", counted_extractor)
+        for target in (None, 2):
+            calls.update(backward=0, extractor=0)
+            gradcam(params, cfg, data[0].epochs[:3], target)
+            assert calls == {"backward": PATH_STEPS, "extractor": PATH_STEPS}
+        assert all(t.grad is None for t in params.registry.values())
 
 
 class TestExportFeatures:

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from sleepstager.autodiff import grad_check, scale, sum_all, take_per_row
-from sleepstager.blocks import FeatureExtractorConfig
+from sleepstager.autodiff import Tensor, grad_check, scale, sum_all, take_per_row
+from sleepstager.blocks import FeatureExtractorConfig, feature_extractor_forward
 from sleepstager.data import EpochSet, make_windows
 from sleepstager.errors import ConfigError, CorruptCheckpoint, ShapeError
 from sleepstager.model import (
@@ -63,7 +63,10 @@ class TestForward:
         window = rng.normal(size=(1, cfg.epoch_len))
         out = forward_batch(window[None], params, cfg, "train")
         assert out.log_probs.data.shape == (1, 5)
-        assert out.activations.data.shape[:2] == (1, cfg.extractor.feature_dim)
+        _, maps = feature_extractor_forward(
+            Tensor(window[:, None, :]), cfg.extractor, params.extractor, "train"
+        )
+        assert maps.data.shape[:2] == (1, cfg.extractor.feature_dim)
 
     def test_log_probs_normalized(self, tiny_model):
         cfg, params = tiny_model
