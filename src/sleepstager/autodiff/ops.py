@@ -2,11 +2,13 @@
 
 Each op has one batched form: convolution, pooling, the SE scaling
 primitive and batch normalization take ``[N, C, L]``, matmul takes two
-matrices, and input of another rank raises ``ShapeError``. A single sample
-is a batch with N == 1. Broadcasting is limited to bias-add and
-channel-scale by design. Ops take only the arguments the model varies:
-``concat`` joins along the last axis, and batch normalization uses the
-standard momentum and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
+matrices, log-softmax normalizes the rows of a ``[B, C]`` matrix, and input
+of another rank raises ``ShapeError``. A single sample is a batch with
+N == 1. Broadcasting is limited to bias-add and channel-scale by design.
+Ops take only the arguments the model varies: convolution has no bias,
+because batchnorm follows every conv and would absorb it; ``concat`` joins
+along the last axis; and batch normalization uses the standard momentum
+and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from .tensor import Tensor, record
 
 
 def _rg(*tensors):
-    return any(t is not None and t.requires_grad for t in tensors)
+    return any(t.requires_grad for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +146,6 @@ def concat(tensors):
     return out
 
 
-def reshape(x, shape):
-    out = Tensor._wrap(x.data.reshape(shape), x.requires_grad)
-
-    def bwd(g):
-        x.accumulate_grad(g.reshape(x.data.shape))
-
-    record(out, bwd)
-    return out
-
-
 def take_rows(x, indices):
     """Gather rows along axis 0; duplicate indices accumulate gradients."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -240,17 +232,18 @@ def tanh(x):
     return out
 
 
-def log_softmax(x, axis=-1):
+def log_softmax(x):
+    """Log-probabilities of each row of a matrix ``x[B, C]``."""
     xd = x.data
-    if not (-xd.ndim <= axis < xd.ndim):
-        raise ShapeError(f"log_softmax: axis {axis} invalid for shape {xd.shape}")
-    m = xd.max(axis=axis, keepdims=True)
+    if xd.ndim != 2:
+        raise ShapeError(f"log_softmax: expected [B, C], got {xd.shape}")
+    m = xd.max(axis=1, keepdims=True)
     z = xd - m
-    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     out = Tensor._wrap(y, x.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        x.accumulate_grad(g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
     record(out, bwd)
     return out
@@ -277,13 +270,11 @@ def _im2col(xp, k, stride, l_out):
     return np.ascontiguousarray(windows).reshape(n, c * k, l_out)
 
 
-def conv1d(x, w, b=None, stride=1, padding=0):
-    """1-D cross-correlation with optional bias.
+def conv1d(x, w, *, stride=1, padding=0):
+    """1-D cross-correlation without bias.
 
-    ``x[N,C_in,L]``, ``w[C_out,C_in,K]``, ``b[C_out]`` ->
-    ``[N,C_out,L_out]`` with L_out = floor((L + 2*padding - K)/stride) + 1.
-    ``b=None`` skips the bias (used where batchnorm follows and would
-    absorb it).
+    ``x[N,C_in,L]``, ``w[C_out,C_in,K]`` -> ``[N,C_out,L_out]`` with
+    L_out = floor((L + 2*padding - K)/stride) + 1.
     """
     _check_ncl("conv1d", x)
     xd = x.data
@@ -293,8 +284,6 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     c_out, c_in_w, k = w.data.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: input channels {c_in} vs weight {c_in_w}")
-    if b is not None and b.data.shape != (c_out,):
-        raise ShapeError(f"conv1d: bias shape {b.data.shape}, expected ({c_out},)")
     lp = l + 2 * padding
     if lp < k:
         raise ShapeError(f"conv1d: kernel {k} larger than padded input {lp}")
@@ -306,13 +295,9 @@ def conv1d(x, w, b=None, stride=1, padding=0):
     patches = _im2col(xp, k, stride, l_out)
     w2 = w.data.reshape(c_out, c_in * k)
     y = np.matmul(w2, patches)  # [N, C_out, L_out]
-    if b is not None:
-        y += b.data[:, None]
-    out = Tensor._wrap(y, _rg(x, w, b))
+    out = Tensor._wrap(y, _rg(x, w))
 
     def bwd(g):
-        if b is not None:
-            b.accumulate_grad(g.sum(axis=(0, 2)))
         w.accumulate_grad(
             np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
                 c_out, c_in, k

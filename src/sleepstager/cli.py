@@ -44,9 +44,12 @@ from .model import checkpoint_load
 from .training import cross_validate, fit, pooled_confusion, predict_sets
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
 
 
 def _add_keys(parser, names):
@@ -101,25 +104,37 @@ def _subject_of(edf_path):
     return stem[: -len("-PSG")] if stem.endswith("-PSG") else stem
 
 
-def _find_hypnogram(edf_path, fmt):
+# hypnogram names per format, in order of preference
+_HYPNOGRAM_NAMES = (
+    ("{}-Hypnogram.edf", "{}.hypnogram.edf"),
+    ("{}.csv", "{}.hyp.csv"),
+)
+
+
+def _find_hypnogram(edf_path):
+    """The one hypnogram next to a recording; its suffix tells its format."""
     stem = _subject_of(edf_path)
-    if fmt == "csv":
-        candidates = [f"{stem}.csv", f"{stem}.hyp.csv"]
-    else:
-        candidates = [f"{stem}-Hypnogram.edf", f"{stem}.hypnogram.edf"]
-    for name in candidates:
-        path = edf_path.parent / name
-        if path.exists():
-            return path
-    raise ParseError(
-        f"no hypnogram next to {edf_path.name}; tried {candidates}",
-        field="hypnogram",
-    )
+    found = []
+    for names in _HYPNOGRAM_NAMES:
+        paths = [edf_path.parent / n.format(stem) for n in names]
+        found += [p for p in paths if p.exists()][:1]
+    if len(found) > 1:
+        raise ParseError(
+            f"hypnograms of two formats next to {edf_path.name}: "
+            f"{found[0].name} and {found[1].name}",
+            field="hypnogram",
+        )
+    if not found:
+        tried = [n.format(stem) for names in _HYPNOGRAM_NAMES for n in names]
+        raise ParseError(
+            f"no hypnogram next to {edf_path.name}; tried {tried}",
+            field="hypnogram",
+        )
+    return found[0]
 
 
 def cmd_prepare(run, out_dir):
     edf_dir = Path(run.require("edf_dir"))
-    fmt = run["hypnogram_format"]
     channel = run["channel"]
     signal_files = sorted(
         p for p in edf_dir.glob("*.edf") if "hypnogram" not in p.name.lower()
@@ -131,7 +146,7 @@ def cmd_prepare(run, out_dir):
         subject = _subject_of(path)
         try:
             recording = parse_edf_file(path)
-            hyp = parse_hypnogram(_find_hypnogram(path, fmt), fmt)
+            hyp = parse_hypnogram(_find_hypnogram(path))
             es = epochize(recording, channel, hyp, subject_id=subject)
             if len(es) == 0:
                 raise EmptyDataset("no scored epochs survive exclusion")
@@ -279,7 +294,9 @@ def cmd_explain(run, out_dir):
                 "index": int(idx),
                 "label": STAGES[es.labels[idx]],
                 "predicted": STAGES[heatmap.predicted_class],
-                "target": STAGES[heatmap.target_class],
+                # GradCAM explains the predicted stage; the key keeps the
+                # file's layout
+                "target": STAGES[heatmap.predicted_class],
                 "raw_max": heatmap.raw_max,
                 "empty": heatmap.empty,
                 "csv": f"{base.name}.csv",
@@ -306,7 +323,7 @@ _COMMANDS = {
     "prepare": (
         cmd_prepare,
         "cut EDF recordings into labeled 30 s epoch caches",
-        ("edf_dir", "channel", "hypnogram_format", "normalize", "out_dir"),
+        ("edf_dir", "channel", "normalize", "out_dir"),
     ),
     "synth": (
         cmd_synth,

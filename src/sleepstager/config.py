@@ -33,11 +33,9 @@ KEYS = {
     for spec in [
         # data
         KeySpec("edf_dir", "data", "str", None,
-                "directory of EDF recordings with hypnogram companions"),
+                "directory of EDF recordings, each beside an EDF+ or CSV hypnogram"),
         KeySpec("channel", "data", "str", "EEG Fpz-Cz",
                 "signal label to extract (e.g. 'EEG Fpz-Cz', 'EEG C4-A1')"),
-        KeySpec("hypnogram_format", "data", "choice", "edfplus",
-                "hypnogram source format", choices=("edfplus", "csv")),
         KeySpec("normalize", "data", "choice", "none",
                 "per-recording normalization applied at preparation",
                 choices=("none", "zscore_per_recording", "zscore_per_epoch")),

@@ -1,8 +1,11 @@
 """Labeled 30-second epochs: slicing, normalization, and the SEPC cache.
 
-The cache layout is: magic "SEPC", u32 version, u16 subject-id length +
-utf-8 bytes, f64 sample rate, u64 N, u64 L, N stage bytes, then N*L
-little-endian f32 samples.
+An ``EpochSet`` holds one recording's epochs ``[N, L]``, their stage
+labels, the subject id, the sample rate and, for synthetic recordings, the
+ground-truth event intervals of each epoch. The cache stores all of it but
+the events. Its layout is: magic "SEPC", u32 version, u16 subject-id
+length + utf-8 bytes, f64 sample rate, u64 N, u64 L, N stage bytes, then
+N*L little-endian f32 samples.
 """
 
 from dataclasses import dataclass, field
@@ -11,11 +14,11 @@ import numpy as np
 
 from .. import EXCLUDED, NUM_STAGES, epoch_samples
 from ..errors import (
-    ChannelNotFound,
     ConfigError,
     CorruptCache,
     DegenerateSignal,
     InvalidInput,
+    IoError,
 )
 
 CACHE_MAGIC = b"SEPC"
@@ -34,7 +37,6 @@ class EpochSet:
     epochs: np.ndarray  # [N, L] float64
     labels: np.ndarray  # [N] int8 in 0..4
     subject_id: str
-    channel: str
     sample_rate: float
     events: list | None = field(default=None, repr=False)
 
@@ -78,12 +80,11 @@ def epochize(recording, channel_name, hypnogram, subject_id="subject"):
     keep = [i for i in range(n) if hypnogram[i] != EXCLUDED]
     if not keep:
         return EpochSet(
-            np.empty((0, l_epoch)), np.empty(0, dtype=np.int8),
-            subject_id, channel_name, rate,
+            np.empty((0, l_epoch)), np.empty(0, dtype=np.int8), subject_id, rate
         )
     rows = np.stack([signal[i * l_epoch : (i + 1) * l_epoch] for i in keep])
     labels = hypnogram[keep].astype(np.int8)
-    return EpochSet(rows, labels, subject_id, channel_name, rate)
+    return EpochSet(rows, labels, subject_id, rate)
 
 
 def normalize_recording(es, scheme):
@@ -103,22 +104,25 @@ def normalize_recording(es, scheme):
         epochs = (es.epochs - es.epochs.mean(axis=1, keepdims=True)) / std
     else:
         raise ConfigError(f"unknown normalization scheme {scheme!r}")
-    return EpochSet(epochs, es.labels.copy(), es.subject_id, es.channel,
-                    es.sample_rate, events=es.events)
+    return EpochSet(epochs, es.labels.copy(), es.subject_id, es.sample_rate,
+                    events=es.events)
 
 
 def save_epochset(es, path):
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(np.uint32(CACHE_VERSION).tobytes())
-        sid = es.subject_id.encode("utf-8")
-        f.write(np.uint16(len(sid)).tobytes())
-        f.write(sid)
-        f.write(np.float64(es.sample_rate).astype("<f8").tobytes())
-        f.write(np.uint64(len(es)).tobytes())
-        f.write(np.uint64(es.epoch_len).tobytes())
-        f.write(es.labels.astype(np.uint8).tobytes())
-        f.write(np.ascontiguousarray(es.epochs, dtype="<f4").tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(CACHE_MAGIC)
+            f.write(np.uint32(CACHE_VERSION).tobytes())
+            sid = es.subject_id.encode("utf-8")
+            f.write(np.uint16(len(sid)).tobytes())
+            f.write(sid)
+            f.write(np.float64(es.sample_rate).astype("<f8").tobytes())
+            f.write(np.uint64(len(es)).tobytes())
+            f.write(np.uint64(es.epoch_len).tobytes())
+            f.write(es.labels.astype(np.uint8).tobytes())
+            f.write(np.ascontiguousarray(es.epochs, dtype="<f4").tobytes())
+    except OSError as e:
+        raise IoError(f"cannot write epoch cache {path}: {e}") from e
 
 
 def _need(f, n, field_name):
@@ -131,7 +135,7 @@ def _need(f, n, field_name):
 
 
 def load_epochset(path):
-    """Read a SEPC cache. The channel name is not part of the format."""
+    """Read a SEPC cache."""
     with open(path, "rb") as f:
         if f.read(4) != CACHE_MAGIC:
             raise CorruptCache("bad cache magic", field="magic")
@@ -162,4 +166,4 @@ def load_epochset(path):
         ).astype(np.float64).reshape(n, l_epoch)
         if f.read(1):
             raise CorruptCache("trailing bytes after samples", field="samples")
-    return EpochSet(samples, stages, subject_id, "", rate)
+    return EpochSet(samples, stages, subject_id, rate)

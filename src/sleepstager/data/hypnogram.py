@@ -1,11 +1,12 @@
 """Hypnogram ingestion: stage-label mapping and annotation expansion.
 
 Accepts EDF+ annotation streams (TALs) or a CSV of
-``onset_s,duration_s,stage_string`` rows. Both R&K (stages 1-4) and AASM
-(N1-N3) vocabularies map onto the five-class scheme; legacy stages 3 and 4
-merge into N3, and movement/unknown epochs are marked EXCLUDED so they
-never reach training or metrics. A hypnogram is the ``int8`` array of its
-epochs' labels: a stage index 0..4, or EXCLUDED.
+``onset_s,duration_s,stage_string`` rows; a file's suffix tells which.
+Both R&K (stages 1-4) and AASM (N1-N3) vocabularies map onto the
+five-class scheme; legacy stages 3 and 4 merge into N3, and
+movement/unknown epochs are marked EXCLUDED so they never reach training
+or metrics. A hypnogram is the ``int8`` array of its epochs' labels: a
+stage index 0..4, or EXCLUDED.
 """
 
 import logging
@@ -159,12 +160,10 @@ def parse_hypnogram_csv(text):
     return hypnogram_from_annotations(rows)
 
 
-def parse_hypnogram(path, fmt):
-    """Hypnogram from the file at ``path`` in format ``"edfplus"`` or ``"csv"``."""
-    if fmt == "csv":
+def parse_hypnogram(path):
+    """Hypnogram from the file at ``path``: CSV if it ends in ``.csv``, else EDF+."""
+    if str(path).lower().endswith(".csv"):
         with open(path, "r", encoding="utf-8") as f:
             return parse_hypnogram_csv(f.read())
-    if fmt == "edfplus":
-        with open(path, "rb") as f:
-            return parse_hypnogram_edf(f.read())
-    raise AnnotationError(f"unknown hypnogram format {fmt!r}")
+    with open(path, "rb") as f:
+        return parse_hypnogram_edf(f.read())

@@ -139,7 +139,6 @@ def synth_generate(n_subjects, epochs_per_subject, sample_rate, seed):
             epochs[i], ev = _make_epoch(rng, int(stage), t, sample_rate)
             events.append(ev)
         sets.append(
-            EpochSet(epochs, labels, f"synth-{s:03d}", "synthetic", sample_rate,
-                     events=events)
+            EpochSet(epochs, labels, f"synth-{s:03d}", sample_rate, events=events)
         )
     return sets

@@ -14,8 +14,6 @@ from ..errors import ConfigError, EmptyDataset
 class WindowView:
     def __init__(self, epoch_set, window_size, stride, edge_policy):
         self.epoch_set = epoch_set
-        self.window_size = window_size
-        self.stride = stride
         self.edge_policy = edge_policy
         n = len(epoch_set)
         half = (window_size - 1) // 2
@@ -38,18 +36,8 @@ class WindowView:
     def __len__(self):
         return len(self._centers)
 
-    def centers(self):
-        return self._centers.copy()
-
     def center(self, k):
         return int(self._centers[k])
-
-    def indices(self, k):
-        """Epoch indices covered by window k (clamped under replicate)."""
-        return self.spans([k])[0]
-
-    def label(self, k):
-        return int(self.epoch_set.labels[self._centers[k]])
 
     def labels(self):
         return self.epoch_set.labels[self._centers].copy()

@@ -1,11 +1,12 @@
 """Relevance maps and feature export for model interpretation.
 
-GradCAM over one window: differentiate the target-class score with respect
-to the middle epoch's final conv activation map, average the gradients per
-channel into weights, rectify the weighted activation sum, then upsample
-to signal length and min-max normalize. The score differentiated is the
-target class's log-probability, the quantity the model is trained on. The
-raw logit localizes worse: on a synthetic test it put half the relevance
+GradCAM over one window explains the class the model predicts for its
+middle epoch: differentiate that class's score with respect to the middle
+epoch's final conv activation map, average the gradients per channel into
+weights, rectify the weighted activation sum, then upsample to signal
+length and min-max normalize. The score differentiated is the predicted
+class's log-probability, the quantity the model is trained on. The raw
+logit localizes worse: on a synthetic test it put half the relevance
 on the events for 0.77 of N2 maps, against 1.00 for the log-probability.
 
 The gradients are averaged along a straight path of ``PATH_STEPS``
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NUM_STAGES, STAGES
+from . import STAGES
 from .autodiff import Tape, Tensor, backward, global_avg_pool, take_per_row, zero_grads
 from .blocks import feature_extractor_forward
 from .errors import InvalidInput, IoError
@@ -41,7 +42,6 @@ class Heatmap:
     """Per-sample relevance in [0, 1] over one 30-second epoch."""
 
     values: np.ndarray
-    target_class: int
     predicted_class: int
     raw_max: float
     empty: bool = False
@@ -73,17 +73,16 @@ def normalize_minmax(values):
     return (values - lo) / (hi - lo), False
 
 
-def gradcam(params, cfg, window, target=None):
-    """Relevance heatmap for the middle epoch of one window ``[W, L]`` (eval mode).
+def gradcam(params, cfg, window):
+    """Predicted-class relevance for the middle epoch of one window ``[W, L]``.
 
-    Each of the ``PATH_STEPS`` extractor passes, one per path step, is
-    differentiated from its final conv maps upward only. The last step, the
-    unscaled window, runs first: it gives the prediction (the default
-    target) and the activations that the path-averaged gradients weight.
+    The model runs in eval mode. Each of the ``PATH_STEPS`` extractor
+    passes, one per path step, is differentiated from its final conv maps
+    upward only. The last step, the unscaled window, runs first: it gives
+    the predicted class and the activations that the path-averaged
+    gradients weight.
     """
     epochs = window_epochs(np.asarray(window)[None], cfg)
-    if target is not None and not 0 <= int(target) < NUM_STAGES:
-        raise InvalidInput(f"target class {target} outside 0..{NUM_STAGES - 1}")
     spans, mid = np.arange(cfg.window_size)[None], cfg.middle_index
     zero_grads(params.registry.values())
     grads = [None] * PATH_STEPS  # indexed by step, so they sum in step order
@@ -95,14 +94,13 @@ def gradcam(params, cfg, window, target=None):
             log_probs = classify(global_avg_pool(leaf), spans, params, cfg)
             if k == PATH_STEPS:
                 predicted = int(np.argmax(log_probs.data[0]))
-                chosen = predicted if target is None else int(target)
                 acts = maps.data[mid]
-            backward(take_per_row(log_probs, np.array([chosen])), tape)
+            backward(take_per_row(log_probs, np.array([predicted])), tape)
         grads[k - 1] = leaf.grad[mid].copy()
     zero_grads(params.registry.values())
     raw = cam_from(acts, sum(grads) / PATH_STEPS)
     values, empty = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
-    return Heatmap(values, chosen, predicted, float(raw.max()), empty)
+    return Heatmap(values, predicted, float(raw.max()), empty)
 
 
 def heatmap_mass_fraction(heatmap, intervals, sample_rate, pad_s=0.0):

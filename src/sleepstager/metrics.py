@@ -10,8 +10,6 @@ Any 0/0 ratio is defined as 0, and classes absent from both truth and
 prediction stay out of the macro averages.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import NUM_STAGES, STAGES
@@ -92,40 +90,12 @@ def kappa_multiclass(cm):
     return float((p_o - p_e) / (1.0 - p_e))
 
 
-@dataclass
-class OverallMetrics:
-    accuracy: float
-    mf1: float
-    kappa: float
-    macro_sensitivity: float
-    macro_specificity: float
-    per_class_f1: list
-
-
-def _overall(cm, per_class):
-    rows = list(per_class.values())
-    # the macro averages run over the stages seen in truth or prediction
-    seen = [r for r in rows if r["tp"] + r["fn"] + r["fp"] > 0]
-    return OverallMetrics(
-        accuracy=float(np.trace(cm) / cm.sum()),
-        mf1=float(np.mean([r["f1"] for r in seen])),
-        kappa=kappa_multiclass(cm),
-        macro_sensitivity=float(np.mean([r["sensitivity"] for r in seen])),
-        macro_specificity=float(np.mean([r["specificity"] for r in seen])),
-        per_class_f1=[r["f1"] for r in rows],
-    )
-
-
-def overall_metrics(cm):
-    cm = _validate_cm(cm)
-    return _overall(cm, _per_class(cm))
-
-
 def metrics_report(cm):
     """JSON-ready report: overall block, per-class block, raw + normalized counts."""
     cm = _validate_cm(cm)
     per_class = _per_class(cm)
-    overall = _overall(cm, per_class)
+    # the macro averages run over the stages seen in truth or prediction
+    seen = [r for r in per_class.values() if r["tp"] + r["fn"] + r["fp"] > 0]
     row_sums = cm.sum(axis=1, keepdims=True)
     normalized = np.divide(
         cm, row_sums, out=np.zeros(cm.shape, dtype=np.float64),
@@ -133,11 +103,11 @@ def metrics_report(cm):
     )
     return {
         "overall": {
-            "accuracy": overall.accuracy,
-            "mf1": overall.mf1,
-            "kappa": overall.kappa,
-            "macro_sensitivity": overall.macro_sensitivity,
-            "macro_specificity": overall.macro_specificity,
+            "accuracy": float(np.trace(cm) / cm.sum()),
+            "mf1": float(np.mean([r["f1"] for r in seen])),
+            "kappa": kappa_multiclass(cm),
+            "macro_sensitivity": float(np.mean([r["sensitivity"] for r in seen])),
+            "macro_specificity": float(np.mean([r["specificity"] for r in seen])),
             "total_epochs": int(cm.sum()),
         },
         "per_class": per_class,

@@ -3,11 +3,11 @@
 A window of W consecutive epochs runs through the shared extractor, the
 per-epoch features form a sequence for the stacked Bi-LSTM, and one linear
 softmax head reads the sequence output at the middle position (W-1)/2. To
-score a whole recording, ``forward_recording`` encodes each epoch once, in
-extractor calls of ``EVAL_BATCH`` epochs, and builds the windows from the
-features. Every entry point takes a batch: windows ``[B, W, L]`` in
-``forward_batch`` and a recording's epochs ``[N, L]`` in
-``forward_recording``; both, and GradCAM, end in the head ``classify``.
+score a whole recording, ``encode_epochs`` encodes each epoch once, in
+extractor calls of ``EVAL_BATCH`` epochs, and ``classify`` reads windows of
+the features. Every entry point takes a batch: windows ``[B, W, L]`` in
+``forward_batch`` and a recording's epochs ``[N, L]`` in ``encode_epochs``;
+training, scoring and GradCAM all end in the head ``classify``.
 Checkpoints serialize every learnable tensor plus batchnorm running state
 bit-exactly.
 """
@@ -33,7 +33,7 @@ from .blocks import (
     build_extractor,
     feature_extractor_forward,
 )
-from .errors import ConfigError, CorruptCheckpoint, ShapeError
+from .errors import ConfigError, CorruptCheckpoint, IoError, ShapeError
 from .recurrent import build_bilstm_stack, stack_forward
 
 CHECKPOINT_MAGIC = b"SSTG"
@@ -153,7 +153,7 @@ def classify(feats, spans, params, cfg):
     outs = stack_forward(seq, params.stack)
     w, b = params.head
     logits = add_rowvec(matmul(outs[cfg.middle_index], transpose(w)), b)
-    return log_softmax(logits, axis=1)
+    return log_softmax(logits)
 
 
 def window_epochs(windows, cfg):
@@ -199,17 +199,6 @@ def encode_epochs(epochs, params, cfg):
     return out
 
 
-def forward_recording(epochs, spans, params, cfg):
-    """Eval-mode log-probabilities ``[B, 5]`` of windows over one recording.
-
-    Each epoch of ``epochs`` ``[N, L_epoch]`` goes through the extractor
-    once (``encode_epochs``); row b of ``spans`` ``[B, W]`` holds the epoch
-    indices of window b, whose features the Bi-LSTM and the head then read.
-    """
-    features = Tensor(encode_epochs(epochs, params, cfg))
-    return classify(features, spans, params, cfg).data
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -244,8 +233,11 @@ def checkpoint_save(params, cfg, path):
     for st in params.states.values():
         buf.write(np.ascontiguousarray(st.running_mean, dtype="<f8").tobytes())
         buf.write(np.ascontiguousarray(st.running_var, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    try:
+        with open(path, "wb") as f:
+            f.write(buf.getvalue())
+    except OSError as e:
+        raise IoError(f"cannot write checkpoint {path}: {e}") from e
 
 
 def _read_exact(f, n, field):

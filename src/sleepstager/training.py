@@ -17,10 +17,12 @@ configured rate, which may be 0 (the parameters then stay fixed) but not
 negative or non-finite.
 
 Evaluation labels every epoch of a recording once, from its window at
-stride 1 with ``replicate`` edges. Each epoch goes through the extractor
-once; the windows are then built from the per-epoch features and read by
-the Bi-LSTM, the sequence-to-sequence scoring of DeepSleepNet (Supratak et
-al., arXiv 1703.04046). Runs are bit-reproducible for a fixed seed.
+stride 1 with ``replicate`` edges. ``predict_epochs`` puts each epoch
+through the extractor once (``model.encode_epochs``); ``model.classify``
+then reads each window's per-epoch features with the Bi-LSTM and the head,
+the sequence-to-sequence scoring of DeepSleepNet (Supratak et al., arXiv
+1703.04046). Runs are bit-reproducible for a fixed seed. A checkpoint
+records the stride it was trained at, ``TrainConfig.stride_train``.
 """
 
 import time
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, backward, scale, sum_all, take_per_row, zero_grads
+from .autodiff import Tape, Tensor, backward, scale, sum_all, take_per_row, zero_grads
 from .data.folds import kfold_split
 from .data.windows import make_windows
 from .errors import (
@@ -44,8 +46,9 @@ from .metrics import confusion_from, metrics_report
 from .model import (
     build_stager_params,
     checkpoint_save,
+    classify,
+    encode_epochs,
     forward_batch,
-    forward_recording,
 )
 
 from . import NUM_STAGES
@@ -142,12 +145,8 @@ def _window_rows(views, stride, phases):
     return np.array(rows, dtype=np.intp)
 
 
-def _training_windows(epoch_sets, window_size, stride):
-    """Stride-1 ``skip`` views of every recording that fits one window.
-
-    The rows returned with them are the phase-0 stride subset, i.e. exactly
-    the windows of ``make_windows(es, window_size, stride, "skip")``.
-    """
+def _training_windows(epoch_sets, window_size):
+    """Stride-1 ``skip`` views of every recording that fits one window."""
     views = [
         make_windows(es, window_size, 1, "skip")
         for es in epoch_sets
@@ -155,7 +154,7 @@ def _training_windows(epoch_sets, window_size, stride):
     ]
     if not views:
         raise EmptyDataset("no training windows: every recording is too short")
-    return views, _window_rows(views, stride, [0] * len(views))
+    return views
 
 
 def _stride_phases(rng, sizes, stride):
@@ -201,7 +200,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
     if params is None:
         params = build_stager_params(model_cfg)
     stride = train_cfg.stride_train
-    views, _ = _training_windows(train_sets, model_cfg.window_size, stride)
+    views = _training_windows(train_sets, model_cfg.window_size)
     rng = np.random.default_rng(train_cfg.seed)
     phases = _stride_phases(rng, [len(v) for v in views], stride)
     adam = init_adam(params, train_cfg.lr * stride)
@@ -230,7 +229,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
             total += value * len(chosen)
         history.append(total / n)
     if checkpoint_path is not None:
-        checkpoint_save(params, model_cfg, checkpoint_path)
+        checkpoint_save(params, replace(model_cfg, stride_train=stride), checkpoint_path)
     return params, history
 
 
@@ -255,8 +254,9 @@ def predict_epochs(params, model_cfg, es):
     """
     view = make_windows(es, model_cfg.window_size, 1, "replicate")
     spans = view.spans(np.arange(len(view)))
-    log_probs = forward_recording(es.epochs, spans, params, model_cfg)
-    return np.argmax(log_probs, axis=1)
+    features = Tensor(encode_epochs(es.epochs, params, model_cfg))
+    log_probs = classify(features, spans, params, model_cfg)
+    return np.argmax(log_probs.data, axis=1)
 
 
 def predict_sets(params, model_cfg, epoch_sets):

@@ -24,8 +24,12 @@ def tal_bytes(rows):
     return bytes(out)
 
 
-def craft_pair(directory, stem, annotations, n_epochs, rate=10, seed=0):
-    """Write <stem>-PSG.edf plus <stem>-Hypnogram.edf into ``directory``."""
+def craft_pair(directory, stem, annotations, n_epochs, rate=10, seed=0,
+               csv_hypnogram=False):
+    """Write <stem>-PSG.edf plus <stem>-Hypnogram.edf into ``directory``.
+
+    With ``csv_hypnogram`` the hypnogram is <stem>.csv instead.
+    """
     rng = np.random.default_rng(seed)
     samples = int(rate * 30) * n_epochs
     signal = write_edf(
@@ -38,6 +42,10 @@ def craft_pair(directory, stem, annotations, n_epochs, rate=10, seed=0):
         record_duration=30.0,
     )
     (directory / f"{stem}-PSG.edf").write_bytes(signal)
+    if csv_hypnogram:
+        rows = [f"{onset},{duration},{text}" for onset, duration, text in annotations]
+        (directory / f"{stem}.csv").write_text("\n".join(rows) + "\n")
+        return
     payload = tal_bytes(annotations)
     hyp = write_edf(
         [
@@ -177,6 +185,44 @@ class TestPrepare:
         code = main(["prepare", "--edf-dir", str(edf_dir),
                      "--channel", "EEG Pz-Oz", "--out-dir", str(out)])
         assert code == 3
+
+    def test_csv_hypnogram_needs_no_flag(self, tmp_path):
+        edf_dir = tmp_path / "edf"
+        edf_dir.mkdir()
+        craft_pair(
+            edf_dir, "ST7011",
+            [(0, 60, "W"), (60, 30, "N2"), (90, 30, "?"), (120, 30, "REM")],
+            n_epochs=5, seed=3, csv_hypnogram=True,
+        )
+        out = tmp_path / "cache"
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        assert manifest["subjects"][0]["epoch_counts"] == {
+            "W": 2, "N1": 0, "N2": 1, "N3": 0, "REM": 1, "Total": 4
+        }
+        assert len(load_epochset(out / "ST7011.sepc")) == 4
+
+    def test_hypnograms_of_both_formats_fail_that_recording(self, tmp_path, capsys):
+        edf_dir = tmp_path / "edf"
+        edf_dir.mkdir()
+        annotations = [(0, 30, "Sleep stage W"), (30, 30, "Sleep stage 2")]
+        craft_pair(edf_dir, "A1", annotations, n_epochs=2, seed=1)
+        craft_pair(edf_dir, "A1", annotations, n_epochs=2, seed=1,
+                   csv_hypnogram=True)
+        craft_pair(edf_dir, "B2", annotations, n_epochs=2, seed=2)
+        craft_pair(edf_dir, "C3", annotations, n_epochs=2, seed=3,
+                   csv_hypnogram=True)
+        out = tmp_path / "cache"
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["id"] for s in manifest["subjects"]] == ["B2", "C3"]
+        [failure] = manifest["failures"]
+        assert failure["source"] == "A1-PSG.edf"
+        assert "A1-Hypnogram.edf" in failure["error"]
+        assert "A1.csv" in failure["error"]
+        assert not (out / "A1.sepc").exists()
+        assert "skipping A1-PSG.edf" in capsys.readouterr().err
 
     def test_missing_edf_dir_is_config_error(self, tmp_path):
         assert main(["prepare", "--out-dir", str(tmp_path)]) == 2
@@ -379,6 +425,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"data error: cannot create output directory {out}: ")
+
+    def test_unwritable_manifest_exits_3(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert main(["synth", "--subjects", "1", "--epochs-per-subject", "2",
+                     "--sample-rate", "8", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(
+            f"data error: cannot write {tmp_path / 'manifest.json'}: ")
+
+    def test_unwritable_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
+        (tmp_path / "checkpoint.sstg").mkdir()
+        assert main(["train", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,
+                     "--epochs", "1", "--batch-size", "16", "--stride-train", "4",
+                     "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(
+            f"data error: cannot write checkpoint {tmp_path / 'checkpoint.sstg'}: ")
 
     def test_uninitialized_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
         ckpt = untrained_checkpoint(tmp_path / "model.sstg")

@@ -91,15 +91,8 @@ class TestGradcam:
         assert h.values.shape == (cfg.epoch_len,)
         assert h.values.min() >= 0.0 and h.values.max() <= 1.0
         assert h.predicted_class in range(5)
-        assert h.target_class == h.predicted_class
         if not h.empty:
             assert h.values.max() == 1.0
-
-    def test_explicit_target(self, trained):
-        cfg, params, data = trained
-        window = data[0].epochs[3:6]
-        h = gradcam(params, cfg, window, target=3)
-        assert h.target_class == 3
 
     def test_window_must_be_epochs_by_samples(self, trained):
         cfg, params, data = trained
@@ -114,10 +107,10 @@ class TestGradcam:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_mass_fraction_helper(self):
-        h = Heatmap(np.array([0.0, 1.0, 1.0, 0.0]), 2, 2, 1.0)
+        h = Heatmap(np.array([0.0, 1.0, 1.0, 0.0]), 2, 1.0)
         assert heatmap_mass_fraction(h, [(1.0, 3.0)], sample_rate=1.0) == 1.0
         assert heatmap_mass_fraction(h, [(0.0, 1.0)], sample_rate=1.0) == 0.0
-        empty = Heatmap(np.zeros(4), 2, 2, 0.0, empty=True)
+        empty = Heatmap(np.zeros(4), 2, 0.0, empty=True)
         assert heatmap_mass_fraction(empty, [(0.0, 4.0)], sample_rate=1.0) == 0.0
 
     def test_consumes_the_returned_activation_tensor(self, trained):
@@ -133,31 +126,28 @@ class TestGradcam:
             x = Tensor((window * scale)[:, None, :])
             return feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
 
-        def reference(target):
+        def reference():
             feats, acts = extract(1.0)
             predicted = int(np.argmax(classify(feats, spans, params, cfg).data[0]))
-            chosen = predicted if target is None else target
             grads = np.zeros_like(acts.data[mid])
             for k in range(1, PATH_STEPS + 1):
                 zero_grads(tensors)
                 with Tape() as tape:
                     feats, maps = extract(k / PATH_STEPS)
                     log_probs = classify(feats, spans, params, cfg)
-                    backward(take_per_row(log_probs, np.array([chosen])), tape)
+                    backward(take_per_row(log_probs, np.array([predicted])), tape)
                 grads += maps.grad[mid]
             zero_grads(tensors)
             raw = cam_from(acts.data[mid], grads / PATH_STEPS)
             values, _ = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
-            return values, float(raw.max()), predicted, chosen
+            return values, float(raw.max()), predicted
 
-        for target in (None, 3):
-            h = gradcam(params, cfg, window, target)
-            values, raw_max, predicted, chosen = reference(target)
-            assert np.array_equal(h.values, values)
-            assert h.raw_max == raw_max
-            assert h.predicted_class == predicted
-            assert h.target_class == chosen
-            assert raw_max > 0.0
+        h = gradcam(params, cfg, window)
+        values, raw_max, predicted = reference()
+        assert np.array_equal(h.values, values)
+        assert h.raw_max == raw_max
+        assert h.predicted_class == predicted
+        assert raw_max > 0.0
 
     def test_extractor_stays_off_the_tape(self, trained, monkeypatch):
         # no gradient reaches an extractor weight, and each path step runs
@@ -182,10 +172,8 @@ class TestGradcam:
 
         monkeypatch.setattr(explain, "backward", checked_backward)
         monkeypatch.setattr(explain, "feature_extractor_forward", counted_extractor)
-        for target in (None, 2):
-            calls.update(backward=0, extractor=0)
-            gradcam(params, cfg, data[0].epochs[:3], target)
-            assert calls == {"backward": PATH_STEPS, "extractor": PATH_STEPS}
+        gradcam(params, cfg, data[0].epochs[:3])
+        assert calls == {"backward": PATH_STEPS, "extractor": PATH_STEPS}
         assert all(t.grad is None for t in params.registry.values())
 
 
@@ -247,7 +235,7 @@ class TestRender:
         assert first == again
 
     def test_zero_heatmap_no_bands(self, tmp_path):
-        h = Heatmap(np.zeros(100), 0, 0, 0.0, empty=True)
+        h = Heatmap(np.zeros(100), 0, 0.0, empty=True)
         signal = np.sin(np.linspace(0, 6, 100))
         _, svg_path = render_heatmap(h, signal, tmp_path / "flat")
         svg = open(svg_path).read()
@@ -255,11 +243,11 @@ class TestRender:
         assert "<polyline" in svg
 
     def test_length_mismatch(self, tmp_path):
-        h = Heatmap(np.zeros(10), 0, 0, 0.0)
+        h = Heatmap(np.zeros(10), 0, 0.0)
         with pytest.raises(InvalidInput):
             render_heatmap(h, np.zeros(11), tmp_path / "x")
 
     def test_unwritable_path(self, trained):
-        h = Heatmap(np.zeros(10), 0, 0, 0.0)
+        h = Heatmap(np.zeros(10), 0, 0.0)
         with pytest.raises(IoError):
             render_heatmap(h, np.zeros(10), "/nonexistent-dir/deep/x")

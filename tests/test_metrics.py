@@ -9,10 +9,13 @@ from sleepstager.metrics import (
     confusion_from,
     kappa_multiclass,
     metrics_report,
-    overall_metrics,
 )
 
 W, N1, N2, N3, REM = range(5)
+
+
+def class_f1s(report):
+    return [report["per_class"][stage]["f1"] for stage in STAGES]
 
 
 def five_sample_matrix():
@@ -116,24 +119,25 @@ class TestClassScores:
 
 class TestOverall:
     def test_hand_values(self):
-        m = overall_metrics(five_sample_matrix())
-        assert m.accuracy == pytest.approx(0.8)
-        assert m.per_class_f1 == pytest.approx([2 / 3, 0.0, 1.0, 0.0, 1.0])
-        assert m.mf1 == pytest.approx(2 / 3)
-        assert m.kappa == pytest.approx(0.52 / 0.72)
+        report = metrics_report(five_sample_matrix())
+        m = report["overall"]
+        assert m["accuracy"] == pytest.approx(0.8)
+        assert class_f1s(report) == pytest.approx([2 / 3, 0.0, 1.0, 0.0, 1.0])
+        assert m["mf1"] == pytest.approx(2 / 3)
+        assert m["kappa"] == pytest.approx(0.52 / 0.72)
 
     def test_perfect_predictions(self):
         cm = np.diag([2, 2, 2, 2, 2])
-        m = overall_metrics(cm)
-        assert m.accuracy == m.mf1 == m.kappa == 1.0
+        m = metrics_report(cm)["overall"]
+        assert m["accuracy"] == m["mf1"] == m["kappa"] == 1.0
 
     def test_chance_level_kappa(self):
         rng = np.random.default_rng(0)
         n = 100_000
         labels = rng.integers(0, 5, size=n)
         preds = rng.integers(0, 5, size=n)
-        m = overall_metrics(confusion_from(preds, labels))
-        assert abs(m.kappa) < 0.02
+        m = metrics_report(confusion_from(preds, labels))["overall"]
+        assert abs(m["kappa"]) < 0.02
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
@@ -141,22 +145,23 @@ class TestOverall:
             cm = rng.integers(0, 30, size=(5, 5))
             if cm.sum() == 0:
                 continue
-            m = overall_metrics(cm)
-            for v in (m.accuracy, m.mf1, m.macro_sensitivity, m.macro_specificity):
-                assert 0.0 <= v <= 1.0
-            assert m.kappa <= 1.0
-            assert all(0.0 <= f <= 1.0 for f in m.per_class_f1)
+            report = metrics_report(cm)
+            m = report["overall"]
+            for key in ("accuracy", "mf1", "macro_sensitivity", "macro_specificity"):
+                assert 0.0 <= m[key] <= 1.0
+            assert m["kappa"] <= 1.0
+            assert all(0.0 <= f <= 1.0 for f in class_f1s(report))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         cm = rng.integers(0, 25, size=(5, 5))
-        base = overall_metrics(cm)
+        base = metrics_report(cm)["overall"]
         for _ in range(10):
             perm = rng.permutation(5)
-            m = overall_metrics(cm[np.ix_(perm, perm)])
-            assert m.accuracy == pytest.approx(base.accuracy)
-            assert m.mf1 == pytest.approx(base.mf1)
-            assert m.kappa == pytest.approx(base.kappa)
+            m = metrics_report(cm[np.ix_(perm, perm)])["overall"]
+            assert m["accuracy"] == pytest.approx(base["accuracy"])
+            assert m["mf1"] == pytest.approx(base["mf1"])
+            assert m["kappa"] == pytest.approx(base["kappa"])
 
 
 class TestKappa:
@@ -199,16 +204,17 @@ class TestOracleEquivalence:
             n = int(rng.integers(5, 300))
             labels = rng.integers(0, 5, size=n)
             preds = rng.integers(0, 5, size=n)
-            got = overall_metrics(confusion_from(preds, labels))
+            report = metrics_report(confusion_from(preds, labels))
+            got = report["overall"]
             want = counting_oracle(preds, labels)
-            assert got.accuracy == pytest.approx(want["accuracy"], abs=1e-12)
-            assert got.mf1 == pytest.approx(want["mf1"], abs=1e-12)
-            assert got.kappa == pytest.approx(want["kappa"], abs=1e-12)
-            assert got.macro_sensitivity == pytest.approx(
+            assert got["accuracy"] == pytest.approx(want["accuracy"], abs=1e-12)
+            assert got["mf1"] == pytest.approx(want["mf1"], abs=1e-12)
+            assert got["kappa"] == pytest.approx(want["kappa"], abs=1e-12)
+            assert got["macro_sensitivity"] == pytest.approx(
                 want["macro_sensitivity"], abs=1e-12)
-            assert got.macro_specificity == pytest.approx(
+            assert got["macro_specificity"] == pytest.approx(
                 want["macro_specificity"], abs=1e-12)
-            assert got.per_class_f1 == pytest.approx(
+            assert class_f1s(report) == pytest.approx(
                 want["per_class_f1"], abs=1e-12)
 
 

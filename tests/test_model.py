@@ -134,7 +134,7 @@ class TestForward:
 
 
 def random_recording(cfg, rng, n):
-    return EpochSet(rng.normal(size=(n, cfg.epoch_len)), np.zeros(n), "s", "c",
+    return EpochSet(rng.normal(size=(n, cfg.epoch_len)), np.zeros(n), "s",
                     cfg.sample_rate)
 
 

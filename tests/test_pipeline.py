@@ -23,6 +23,7 @@ from sleepstager.errors import (
     CorruptCache,
     DegenerateSignal,
     EmptyDataset,
+    IoError,
 )
 from sleepstager.model import StagerConfig
 
@@ -82,13 +83,13 @@ class TestEpochize:
 class TestNormalize:
     def test_none_is_identity(self):
         es = EpochSet(np.random.default_rng(1).normal(size=(4, 300)),
-                      [0, 1, 2, 3], "s", "c", 10.0)
+                      [0, 1, 2, 3], "s", 10.0)
         assert normalize_recording(es, "none") is es
 
     def test_zscore_per_recording_statistics(self):
         rng = np.random.default_rng(2)
         es = EpochSet(rng.normal(5.0, 3.0, size=(6, 300)),
-                      [0] * 6, "s", "c", 10.0)
+                      [0] * 6, "s", 10.0)
         out = normalize_recording(es, "zscore_per_recording")
         flat = out.epochs.reshape(-1)
         assert abs(flat.mean()) < 1e-10
@@ -97,13 +98,13 @@ class TestNormalize:
     def test_zscore_per_epoch_statistics(self):
         rng = np.random.default_rng(3)
         es = EpochSet(rng.normal(-2.0, 7.0, size=(5, 300)),
-                      [0] * 5, "s", "c", 10.0)
+                      [0] * 5, "s", 10.0)
         out = normalize_recording(es, "zscore_per_epoch")
         assert np.max(np.abs(out.epochs.mean(axis=1))) < 1e-10
         np.testing.assert_allclose(out.epochs.var(axis=1), 1.0, atol=1e-9)
 
     def test_constant_signal_degenerate(self):
-        es = EpochSet(np.ones((2, 300)), [0, 0], "s", "c", 10.0)
+        es = EpochSet(np.ones((2, 300)), [0, 0], "s", 10.0)
         with pytest.raises(DegenerateSignal):
             normalize_recording(es, "zscore_per_recording")
 
@@ -111,7 +112,7 @@ class TestNormalize:
 def toy_epochset(n, l_epoch=30, rate=1.0):
     rng = np.random.default_rng(n)
     return EpochSet(rng.normal(size=(n, l_epoch)), rng.integers(0, 5, size=n),
-                    f"s{n}", "c", rate)
+                    f"s{n}", rate)
 
 
 def enumerate_skip(n, w, s):
@@ -132,15 +133,19 @@ def enumerate_replicate(n, w, s):
     return out
 
 
+def centers(view):
+    return [view.center(k) for k in range(len(view))]
+
+
 class TestWindows:
     def test_fig3_style_layout(self):
         # N=10, W=3, S=2 -> 4 windows centered at 1, 3, 5, 7
         es = toy_epochset(10)
         view = make_windows(es, 3, 2, "skip")
         assert len(view) == 4
-        np.testing.assert_array_equal(view.centers(), [1, 3, 5, 7])
-        np.testing.assert_array_equal(view.indices(0), [0, 1, 2])
-        assert view.label(0) == es.labels[1]
+        np.testing.assert_array_equal(centers(view), [1, 3, 5, 7])
+        np.testing.assert_array_equal(view.spans([0])[0], [0, 1, 2])
+        assert view.labels()[0] == es.labels[1]
 
     def test_exact_fit(self):
         view = make_windows(toy_epochset(5), 5, 1, "skip")
@@ -150,8 +155,8 @@ class TestWindows:
         es = toy_epochset(5)
         view = make_windows(es, 3, 1, "replicate")
         assert len(view) == 5
-        np.testing.assert_array_equal(view.indices(0), [0, 0, 1])
-        np.testing.assert_array_equal(view.indices(4), [3, 4, 4])
+        np.testing.assert_array_equal(view.spans([0])[0], [0, 0, 1])
+        np.testing.assert_array_equal(view.spans([4])[0], [3, 4, 4])
         gathered = view.gather([0])
         np.testing.assert_array_equal(gathered[0, 0], es.epochs[0])
         np.testing.assert_array_equal(gathered[0, 1], es.epochs[0])
@@ -181,22 +186,22 @@ class TestWindows:
                 assert len(view) == len(expected)
                 assert len(view) == (n - w) // s + 1
                 for k, span in enumerate(expected):
-                    np.testing.assert_array_equal(view.indices(k), span)
-                    assert view.label(k) == es.labels[span[(w - 1) // 2]]
+                    np.testing.assert_array_equal(view.spans([k])[0], span)
+                    assert view.labels()[k] == es.labels[span[(w - 1) // 2]]
             expected_r = enumerate_replicate(n, w, s)
             view_r = make_windows(es, w, s, "replicate")
             assert len(view_r) == len(expected_r)
             for k, span in enumerate(expected_r):
-                np.testing.assert_array_equal(view_r.indices(k), span)
-                assert view_r.label(k) == es.labels[span[(w - 1) // 2]]
+                np.testing.assert_array_equal(view_r.spans([k])[0], span)
+                assert view_r.labels()[k] == es.labels[span[(w - 1) // 2]]
 
     def test_stride_windows_are_subset_of_stride_one(self):
         es = toy_epochset(40)
         full = make_windows(es, 9, 1, "skip")
         for s in (2, 3, 4, 5):
             sub = make_windows(es, 9, s, "skip")
-            assert set(sub.centers()) <= set(full.centers())
-            np.testing.assert_array_equal(sub.centers(), full.centers()[::s])
+            assert set(centers(sub)) <= set(centers(full))
+            np.testing.assert_array_equal(centers(sub), centers(full)[::s])
 
     def test_label_ignores_non_middle_epochs(self):
         # per window: relabeling every epoch except the center leaves the
@@ -206,11 +211,11 @@ class TestWindows:
             view = make_windows(es, 5, 1, policy)
             for k in range(len(view)):
                 center = view.center(k)
-                before = view.label(k)
+                before = view.labels()[k]
                 original = es.labels.copy()
                 es.labels = (es.labels + 1) % 5
                 es.labels[center] = original[center]
-                assert view.label(k) == before
+                assert view.labels()[k] == before
                 es.labels = original
 
 
@@ -297,6 +302,13 @@ class TestCache:
             load_epochset(path)
         assert e.value.field == "magic"
 
+    def test_unwritable_path_names_it(self, tmp_path):
+        path = tmp_path / "s.sepc"
+        path.mkdir()
+        with pytest.raises(IoError) as e:
+            save_epochset(toy_epochset(2), path)
+        assert str(path) in str(e.value)
+
 
 class TestEpochLength:
     @pytest.mark.parametrize("rate, samples", [(100.0, 3000), (8.0, 240), (1 / 3, 10)])
@@ -314,7 +326,7 @@ class TestEpochLength:
         with pytest.raises(ConfigError):
             synth_generate(1, 1, rate, 0)
         with pytest.raises(ConfigError):
-            EpochSet(np.zeros((1, 30)), [0], "s", "c", rate)
+            EpochSet(np.zeros((1, 30)), [0], "s", rate)
         path = tmp_path / "s.sepc"
         save_epochset(toy_epochset(2), path)
         blob = bytearray(path.read_bytes())

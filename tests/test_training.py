@@ -16,7 +16,7 @@ from sleepstager.errors import (
     InvalidLabel,
 )
 from sleepstager import model, training
-from sleepstager.metrics import metrics_report, overall_metrics
+from sleepstager.metrics import metrics_report
 from sleepstager.model import StagerConfig, build_stager_params, forward_batch
 from sleepstager.training import (
     AdamState,
@@ -48,7 +48,7 @@ def supertiny_config(seed=0, window=3, rate=10.0):
 def noise_epochset(n, label_seq, rate=10.0, subject="s", seed=0):
     rng = np.random.default_rng(seed)
     labels = np.resize(np.array(label_seq, dtype=np.int8), n)
-    return EpochSet(rng.normal(size=(n, int(30 * rate))), labels, subject, "c", rate)
+    return EpochSet(rng.normal(size=(n, int(30 * rate))), labels, subject, rate)
 
 
 class FakeParams:
@@ -84,7 +84,7 @@ class TestNllLoss:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(6, 5)))
         targets = rng.integers(0, 5, size=6)
-        err = grad_check(lambda t: nll_loss(log_softmax(t, axis=1), targets), [x])
+        err = grad_check(lambda t: nll_loss(log_softmax(t), targets), [x])
         assert err < 1e-7
 
 
@@ -162,6 +162,17 @@ class TestFit:
         fit(small_synth, cfg, tc, checkpoint_path=tmp_path / "b.sstg")
         assert (tmp_path / "a.sstg").read_bytes() == (tmp_path / "b.sstg").read_bytes()
 
+    def test_checkpoint_records_the_trained_stride(self, small_synth, tmp_path):
+        # the model config says stride 1, the run trains at stride 4
+        cfg = supertiny_config(rate=8.0)
+        tc = TrainConfig(epochs=1, batch_size=16, stride_train=4, seed=9)
+        params, _ = fit(small_synth, cfg, tc, checkpoint_path=tmp_path / "c.sstg")
+        loaded, saved_cfg = model.checkpoint_load(tmp_path / "c.sstg")
+        assert cfg.stride_train == 1
+        assert saved_cfg == replace(cfg, stride_train=4)
+        for name, t in params.registry.items():
+            assert np.array_equal(loaded.registry[name].data, t.data), name
+
     def test_stride_four_quarter_windows(self, small_synth):
         # 24 epochs, W=9: stride 1 -> 16 windows; stride 4 -> 4 windows
         es = small_synth[0]
@@ -186,13 +197,13 @@ class TestFit:
                          stride_train=stride, seed=3)
         params, history = fit(small_synth, cfg, tc)
         monkeypatch.undo()
-        # _training_windows makes the first call, then fit one per epoch
-        assert len(drawn) == tc.epochs + 1
+        # fit draws the rows once per epoch
+        assert len(drawn) == tc.epochs
         views = drawn[0][0]
         assert len(views) == len(small_synth)
         assert all(view.epoch_set is es for view, es in zip(views, small_synth))
         per_epoch = []
-        for epoch_views, rows in drawn[1:]:
+        for epoch_views, rows in drawn:
             assert epoch_views is views
             per_epoch.append([rows[rows[:, 0] == s, 1] for s in range(len(views))])
         half = cfg.middle_index
@@ -206,7 +217,7 @@ class TestFit:
             for block in range(2):
                 centres = set()
                 for epoch in per_epoch[block * stride:(block + 1) * stride]:
-                    centres.update(view.centers()[epoch[s]].tolist())
+                    centres.update(view.center(k) for k in epoch[s])
                 assert centres == set(range(half, len(es) - half))
         # lr 0 keeps the parameters fixed: each history entry is the mean
         # loss over exactly that epoch's windows
@@ -295,12 +306,12 @@ class TestScoreEpochs:
         # but the middle one, and 2 * BATCH + 1 crosses two chunk boundaries
         params, cfg = trained_window5(small_synth)
         es = small_synth[2]
-        es = EpochSet(es.epochs[:n], es.labels[:n], es.subject_id, es.channel,
-                      es.sample_rate)
+        es = EpochSet(es.epochs[:n], es.labels[:n], es.subject_id, es.sample_rate)
         view = make_windows(es, cfg.window_size, 1, "replicate")
         ks = np.arange(n)
         expected = forward_batch(view.gather(ks), params, cfg, "eval").log_probs.data
-        got = model.forward_recording(es.epochs, view.spans(ks), params, cfg)
+        features = Tensor(model.encode_epochs(es.epochs, params, cfg))
+        got = model.classify(features, view.spans(ks), params, cfg).data
         assert got.shape == (n, 5)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
@@ -325,7 +336,7 @@ class TestScoreEpochs:
 
     def test_evaluate_skips_empty_recordings(self, small_synth):
         params, cfg = trained_window5(small_synth)
-        empty = EpochSet(np.empty((0, small_synth[0].epoch_len)), [], "e", "c", 8.0)
+        empty = EpochSet(np.empty((0, small_synth[0].epoch_len)), [], "e", 8.0)
         cm = evaluate(params, cfg, [empty, small_synth[3]])
         assert cm.sum() == len(small_synth[3])
         with pytest.raises(EmptyDataset):
@@ -351,7 +362,7 @@ class TestCrossValidate:
         summed = np.sum([r.confusion for r in results], axis=0)
         assert pooled == metrics_report(summed)
         # pooled MF1 comes from the pooled matrix, not the fold mean
-        assert pooled["overall"]["mf1"] == overall_metrics(summed).mf1
+        assert pooled["overall"]["mf1"] == metrics_report(summed)["overall"]["mf1"]
 
     def test_degenerate_all_wake_collapses_to_majority(self):
         sets = [noise_epochset(12, [0], subject=f"s{i}", seed=i) for i in range(4)]
