@@ -9,6 +9,12 @@ Ops take only the arguments the model varies: convolution has no bias,
 because batchnorm follows every conv and would absorb it; ``concat`` joins
 along the last axis; and batch normalization uses the standard momentum
 and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
+
+Between forward and backward an op keeps only what its backward cannot
+cheaply rebuild: its inputs, which the graph holds anyway, and small
+per-channel or per-row values. conv1d keeps no padded or unfolded copy of
+its input and batchnorm1d no normalized copy; their backward rebuilds
+them with the calls forward made, so the gradients keep their bits.
 """
 
 import numpy as np
@@ -270,11 +276,23 @@ def _im2col(xp, k, stride, l_out):
     return np.ascontiguousarray(windows).reshape(n, c * k, l_out)
 
 
+def _conv_patches(xd, k, stride, padding, l_out):
+    """The padded input and its im2col unfolding, as forward and backward use them."""
+    if padding:
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    else:
+        xp = np.ascontiguousarray(xd)
+    return xp, _im2col(xp, k, stride, l_out)
+
+
 def conv1d(x, w, *, stride=1, padding=0):
     """1-D cross-correlation without bias.
 
     ``x[N,C_in,L]``, ``w[C_out,C_in,K]`` -> ``[N,C_out,L_out]`` with
     L_out = floor((L + 2*padding - K)/stride) + 1.
+
+    Keeps for backward only ``x`` and ``w``: backward rebuilds the padded
+    input and its K-times-larger im2col copy with the same calls.
     """
     _check_ncl("conv1d", x)
     xd = x.data
@@ -288,22 +306,21 @@ def conv1d(x, w, *, stride=1, padding=0):
     if lp < k:
         raise ShapeError(f"conv1d: kernel {k} larger than padded input {lp}")
     l_out = (lp - k) // stride + 1
-    if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        xp = np.ascontiguousarray(xd)
-    patches = _im2col(xp, k, stride, l_out)
-    w2 = w.data.reshape(c_out, c_in * k)
-    y = np.matmul(w2, patches)  # [N, C_out, L_out]
+    _, patches = _conv_patches(xd, k, stride, padding, l_out)
+    y = np.matmul(w.data.reshape(c_out, c_in * k), patches)  # [N, C_out, L_out]
     out = Tensor._wrap(y, _rg(x, w))
 
     def bwd(g):
-        w.accumulate_grad(
-            np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0).reshape(
-                c_out, c_in, k
-            )
-        )
+        xp, patches = _conv_patches(x.data, k, stride, padding, l_out)
+        # sample by sample into one [C_out, C_in*K] buffer: the same sums, in
+        # the same order, as a stacked product reduced over the batch
+        gw = g[0] @ patches[0].T
+        for i in range(1, n):
+            gw += g[i] @ patches[i].T
+        w.accumulate_grad(gw.reshape(c_out, c_in, k))
+        del patches
         if x.requires_grad:
+            w2 = w.data.reshape(c_out, c_in * k)
             dpat = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
             dxp = np.zeros_like(xp)
             for kk in range(k):
@@ -376,11 +393,19 @@ class BatchNormState:
         self.initialized = False
 
 
+def _normalized(xd, mean, ivar):
+    """``xhat``, as forward and backward compute it."""
+    return (xd - mean[:, None]) * ivar[:, None]
+
+
 def batchnorm1d(x, gamma, beta, state, mode):
     """Per-channel normalization over the (batch, time) axes.
 
     Train mode normalizes by batch statistics and folds them into the
     running state; eval mode applies the stored running statistics.
+
+    Keeps for backward the input and the per-channel ``mean`` and ``ivar``;
+    backward recomputes the normalized input ``xhat`` from them.
     """
     _check_ncl("batchnorm1d", x)
     xd = x.data
@@ -407,11 +432,11 @@ def batchnorm1d(x, gamma, beta, state, mode):
         raise ContractViolation(f"unknown batchnorm mode: {mode!r}")
 
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (xd - mean[:, None]) * ivar[:, None]
-    y = gamma.data[:, None] * xhat + beta.data[:, None]
+    y = gamma.data[:, None] * _normalized(xd, mean, ivar) + beta.data[:, None]
     out = Tensor._wrap(y, _rg(x, gamma, beta))
 
     def bwd(g):
+        xhat = _normalized(xd, mean, ivar)
         gamma.accumulate_grad((g * xhat).sum(axis=(0, 2)))
         beta.accumulate_grad(g.sum(axis=(0, 2)))
         if not x.requires_grad:

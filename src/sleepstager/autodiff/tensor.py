@@ -116,6 +116,11 @@ def backward(loss, tape):
 
     The loss must be a scalar produced on this tape. Fan-out gradients
     accumulate additively. The tape is consumed and cannot be replayed.
+
+    The sweep pops each node off the tape as it runs it, so the node's
+    backward rule, and every array only that rule held, is freed as the
+    sweep passes. An op output that no one else holds goes with its node;
+    a tensor the caller holds keeps its ``grad``.
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -125,12 +130,13 @@ def backward(loss, tape):
         raise ContractViolation("tape was already consumed by a previous backward")
     if not any(out is loss for out, _ in tape._nodes):
         raise ContractViolation("loss tensor was not produced on this tape")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, backward_fn in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        out, backward_fn = nodes.pop()
         if out.grad is not None:
             backward_fn(out.grad)
-    tape.consumed = True
-    tape._nodes = []
 
 
 def zero_grads(tensors):

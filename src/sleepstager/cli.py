@@ -8,13 +8,15 @@ also writes each scored epoch's true and predicted stage to predictions.csv.
 ``main`` reads the settings and creates the output directory once, then
 runs the command. Exit codes: 0 success, 2 configuration error
 (``ConfigError``), 3 any other typed error (every other ``StagerError``:
-bad data, a corrupt cache or checkpoint, an uninitialized model, ...),
+bad data, a corrupt cache or checkpoint, a file that cannot be read or
+written, an uninitialized model, ...),
 each reported as one line on stderr.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -200,11 +202,28 @@ def cmd_synth(run, out_dir):
     return 0
 
 
+def _check_checkpoint_writable(path):
+    """Fail now, not after a long run, if ``path`` cannot be written.
+
+    Opens the file for appending, which leaves any file there as it is,
+    and removes the empty file the probe made.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as e:
+        raise IoError(f"cannot write checkpoint {path}: {e}") from e
+    if not existed:
+        os.remove(path)
+
+
 def cmd_train(run, out_dir):
     sets, rate = _load_caches(run.require("cache_dir"))
     model_cfg = model_config_from(run, rate)
     train_cfg = train_config_from(run)
     checkpoint = out_dir / "checkpoint.sstg"
+    _check_checkpoint_writable(checkpoint)
     _, history = fit(sets, model_cfg, train_cfg, checkpoint_path=checkpoint)
     _write_json(
         out_dir / "loss_history.json",

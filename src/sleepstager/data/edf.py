@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ChannelNotFound, ParseError
+from ..errors import ChannelNotFound, IoError, ParseError
 
 ANNOTATION_LABEL = "EDF Annotations"
 
@@ -258,8 +258,12 @@ def parse_edf(data):
 
 
 def parse_edf_file(path):
-    with open(path, "rb") as f:
-        return parse_edf(f.read())
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise IoError(f"cannot read EDF file {path}: {e}") from e
+    return parse_edf(data)
 
 
 def _fit(text, width, fname):

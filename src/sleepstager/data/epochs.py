@@ -136,7 +136,11 @@ def _need(f, n, field_name):
 
 def load_epochset(path):
     """Read a SEPC cache."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise IoError(f"cannot read epoch cache {path}: {e}") from e
+    with f:
         if f.read(4) != CACHE_MAGIC:
             raise CorruptCache("bad cache magic", field="magic")
         version = int(np.frombuffer(_need(f, 4, "version"), dtype="<u4")[0])

@@ -14,7 +14,7 @@ import logging
 import numpy as np
 
 from .. import EPOCH_SECONDS, EXCLUDED, STAGE_TO_INDEX
-from ..errors import AnnotationError
+from ..errors import AnnotationError, IoError
 from .edf import parse_edf
 
 log = logging.getLogger(__name__)
@@ -162,8 +162,15 @@ def parse_hypnogram_csv(text):
 
 def parse_hypnogram(path):
     """Hypnogram from the file at ``path``: CSV if it ends in ``.csv``, else EDF+."""
-    if str(path).lower().endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_hypnogram_csv(f.read())
-    with open(path, "rb") as f:
-        return parse_hypnogram_edf(f.read())
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise IoError(f"cannot read hypnogram {path}: {e}") from e
+    if not str(path).lower().endswith(".csv"):
+        return parse_hypnogram_edf(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise AnnotationError(f"hypnogram {path} is not UTF-8 text: {e}") from e
+    return parse_hypnogram_csv(text)

@@ -90,4 +90,4 @@ class DegenerateDistribution(StagerError):
 
 
 class IoError(StagerError):
-    """An output artifact could not be written."""
+    """A file could not be read or an output artifact could not be written."""

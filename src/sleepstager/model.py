@@ -260,7 +260,11 @@ def _read_array(f, shape, field):
 
 def checkpoint_load(path):
     """Rebuild ``(params, config)`` from a checkpoint file, bit-exactly."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CorruptCheckpoint(f"bad magic {magic!r}", field="magic")

@@ -1,6 +1,7 @@
 """Tensor engine: hand-computed forwards plus finite-difference gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ from sleepstager.errors import (
     ShapeError,
     UninitializedState,
 )
+
+
+def backward_from(g, op, *inputs):
+    """Run ``op(*inputs)`` on a tape and hand its output exactly ``g`` as gradient."""
+    with Tape() as tape:
+        out = op(*inputs)
+        loss = sum_all(mul(out, Tensor(g)))
+    backward(loss, tape)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def rand_tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -140,6 +154,34 @@ class TestConv1d:
         x, w = Tensor(np.ones((1, 1, 8))), Tensor(np.ones((1, 1, 3)))
         with pytest.raises(TypeError):
             conv1d(x, w, 2)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("n", [1, 3, 36])
+    def test_gradients_match_the_stacked_reference(self, n, k, stride):
+        # the weight gradient summed sample by sample and the input gradient
+        # from the rebuilt patches give the bits of one stacked product
+        # reduced over the batch and a per-tap scatter from kept patches
+        rng = np.random.default_rng(100 + 10 * n + k + stride)
+        c_in, c_out, l, pad = 4, 5, 23, k // 2
+        x = Tensor(rng.normal(size=(n, c_in, l)), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, c_in, k)), requires_grad=True)
+        l_out = (l + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(n, c_out, l_out))
+        backward_from(g, lambda a, b: conv1d(a, b, stride=stride, padding=pad), x, w)
+
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+        patches = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
+            n, c_in * k, l_out)
+        w2 = w.data.reshape(c_out, c_in * k)
+        gw = np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0)
+        dpat = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
+        dxp = np.zeros_like(xp)
+        for kk in range(k):
+            dxp[:, :, kk : kk + stride * l_out : stride] += dpat[:, :, kk, :]
+        assert same_bits(w.grad, gw.reshape(c_out, c_in, k))
+        assert same_bits(x.grad, dxp[:, :, pad : pad + l])
 
     def test_batched_matches_single(self):
         # a batch of four against four batches of one
@@ -295,6 +337,74 @@ class TestBatchNorm:
             return sum_all(sigmoid(y))
 
         assert grad_check(fn, [x, gamma, beta]) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gradients_match_the_kept_xhat_formula(self, mode):
+        # backward recomputes xhat; the gradients keep the bits of the
+        # formula that read the xhat forward made
+        rng = np.random.default_rng(17)
+        state = BatchNormState(3)
+        if mode == "eval":
+            batchnorm1d(Tensor(rng.normal(size=(4, 3, 10))), Tensor(np.ones(3)),
+                        Tensor(np.zeros(3)), state, "train")
+            mean, var = state.running_mean, state.running_var
+        x = Tensor(rng.normal(2.0, 3.0, size=(5, 3, 40)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        g = rng.normal(size=(5, 3, 40))
+        backward_from(g, lambda a, b, c: batchnorm1d(a, b, c, state, mode),
+                      x, gamma, beta)
+
+        xd, m = x.data, x.data.shape[0] * x.data.shape[2]
+        if mode == "train":
+            mean, var = xd.mean(axis=(0, 2)), xd.var(axis=(0, 2))
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (xd - mean[:, None]) * ivar[:, None]
+        dxhat = g * gamma.data[:, None]
+        if mode == "eval":
+            dx = dxhat * ivar[:, None]
+        else:
+            s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
+            dx = (ivar[:, None] / m) * (m * dxhat - s1 - xhat * s2)
+        assert same_bits(gamma.grad, (g * xhat).sum(axis=(0, 2)))
+        assert same_bits(beta.grad, g.sum(axis=(0, 2)))
+        assert same_bits(x.grad, dx)
+
+
+class TestRetention:
+    def test_conv_batchnorm_relu_keep_only_their_outputs(self):
+        # between forward and backward, conv1d keeps no padded or unfolded
+        # copy of its input and batchnorm1d no normalized copy: what a
+        # taped conv -> batchnorm -> relu holds is its three outputs
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(8, 16, 500)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 7)), requires_grad=True)
+        gamma = Tensor(np.ones(16), requires_grad=True)
+        beta = Tensor(np.zeros(16), requires_grad=True)
+        state = BatchNormState(16)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                h = relu(batchnorm1d(conv1d(x, w, padding=3), gamma, beta,
+                                     state, "train"))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 3
+        assert held <= 1.1 * 3 * h.data.nbytes, held
+
+    def test_held_intermediate_keeps_its_grad(self):
+        # the sweep frees the nodes it has run, not the gradients of
+        # tensors the caller still holds
+        with Tape() as tape:
+            x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+            h = tanh(x)
+            loss = sum_all(mul(h, h))
+        backward(loss, tape)
+        assert len(tape) == 0
+        np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+        np.testing.assert_array_equal(x.grad, 2.0 * h.data * (1.0 - h.data * h.data))
 
 
 class TestBackward:

@@ -224,6 +224,26 @@ class TestPrepare:
         assert not (out / "A1.sepc").exists()
         assert "skipping A1-PSG.edf" in capsys.readouterr().err
 
+    def test_unreadable_hypnogram_fails_that_recording(self, tmp_path, capsys):
+        edf_dir = tmp_path / "edf"
+        edf_dir.mkdir()
+        annotations = [(0, 30, "Sleep stage W"), (30, 30, "Sleep stage 2")]
+        craft_pair(edf_dir, "SC4001", annotations, n_epochs=2, seed=1,
+                   csv_hypnogram=True)
+        (edf_dir / "SC4001.csv").unlink()
+        (edf_dir / "SC4001.csv").mkdir()
+        craft_pair(edf_dir, "SC4002", annotations, n_epochs=2, seed=2)
+        out = tmp_path / "cache"
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["id"] for s in manifest["subjects"]] == ["SC4002"]
+        [failure] = manifest["failures"]
+        assert failure["source"] == "SC4001-PSG.edf"
+        assert failure["error"].startswith(
+            f"cannot read hypnogram {edf_dir / 'SC4001.csv'}: ")
+        assert (out / "SC4002.sepc").exists()
+        assert "skipping SC4001-PSG.edf" in capsys.readouterr().err
+
     def test_missing_edf_dir_is_config_error(self, tmp_path):
         assert main(["prepare", "--out-dir", str(tmp_path)]) == 2
 
@@ -435,7 +455,19 @@ class TestExitCodes:
         assert err[0].startswith(
             f"data error: cannot write {tmp_path / 'manifest.json'}: ")
 
-    def test_unwritable_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
+    def test_missing_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
+        missing = tmp_path / "nope.sstg"
+        assert main(["eval", "--checkpoint", str(missing), "--cache-dir",
+                     str(synth_cache), "--out-dir", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"data error: cannot read checkpoint {missing}: ")
+
+    def test_unwritable_checkpoint_exits_3(self, synth_cache, tmp_path, capsys,
+                                           monkeypatch):
+        # the checkpoint path is checked before training, not after it
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: fits.append(args))
         (tmp_path / "checkpoint.sstg").mkdir()
         assert main(["train", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,
                      "--epochs", "1", "--batch-size", "16", "--stride-train", "4",
@@ -444,6 +476,7 @@ class TestExitCodes:
         assert len(err) == 1, err
         assert err[0].startswith(
             f"data error: cannot write checkpoint {tmp_path / 'checkpoint.sstg'}: ")
+        assert fits == []
 
     def test_uninitialized_checkpoint_exits_3(self, synth_cache, tmp_path, capsys):
         ckpt = untrained_checkpoint(tmp_path / "model.sstg")

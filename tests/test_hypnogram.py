@@ -8,6 +8,7 @@ from sleepstager import EXCLUDED, STAGE_TO_INDEX
 from sleepstager.data import (
     hypnogram_from_annotations,
     map_stage_label,
+    parse_hypnogram,
     parse_hypnogram_csv,
     parse_hypnogram_edf,
     parse_tals,
@@ -99,6 +100,12 @@ class TestCsv:
     def test_empty_rejected(self):
         with pytest.raises(AnnotationError):
             parse_hypnogram_csv("onset,duration,stage\n")
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "SC4001.csv"
+        path.write_bytes(b"0,30,W\n30,30,N2\xff\n")
+        with pytest.raises(AnnotationError, match="not UTF-8"):
+            parse_hypnogram(path)
 
 
 def tal_bytes(rows, keepalives=True):
