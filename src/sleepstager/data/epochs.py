@@ -6,6 +6,11 @@ ground-truth event intervals of each epoch. The cache stores all of it but
 the events. Its layout is: magic "SEPC", u32 version, u16 subject-id
 length + utf-8 bytes, f64 sample rate, u64 N, u64 L, N stage bytes, then
 N*L little-endian f32 samples.
+
+A set read from a cache keeps its samples as float32, half the memory of
+float64. The model and ``normalize_recording`` widen them to float64 as
+they read them; the widening is exact, so a cached set trains, scores and
+explains to the same bits as a float64 copy of it.
 """
 
 from dataclasses import dataclass, field
@@ -34,14 +39,15 @@ class EpochSet:
     persisted in the cache format.
     """
 
-    epochs: np.ndarray  # [N, L] float64
+    epochs: np.ndarray  # [N, L] float64, or float32 as read from a cache
     labels: np.ndarray  # [N] int8 in 0..4
     subject_id: str
     sample_rate: float
     events: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.epochs = np.asarray(self.epochs, dtype=np.float64)
+        if np.asarray(self.epochs).dtype != np.float32:
+            self.epochs = np.asarray(self.epochs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int8)
         if self.epochs.ndim != 2:
             raise InvalidInput(f"epochs must be [N, L], got {self.epochs.shape}")
@@ -91,17 +97,18 @@ def normalize_recording(es, scheme):
     """Affine normalization; labels and metadata pass through untouched."""
     if scheme == "none":
         return es
+    x = np.asarray(es.epochs, dtype=np.float64)
     if scheme == "zscore_per_recording":
-        flat = es.epochs.reshape(-1)
+        flat = x.reshape(-1)
         std = flat.std()
         if std < 1e-12:
             raise DegenerateSignal("recording has (near-)zero variance")
-        epochs = (es.epochs - flat.mean()) / std
+        epochs = (x - flat.mean()) / std
     elif scheme == "zscore_per_epoch":
-        std = es.epochs.std(axis=1, keepdims=True)
+        std = x.std(axis=1, keepdims=True)
         if np.any(std < 1e-12):
             raise DegenerateSignal("an epoch has (near-)zero variance")
-        epochs = (es.epochs - es.epochs.mean(axis=1, keepdims=True)) / std
+        epochs = (x - x.mean(axis=1, keepdims=True)) / std
     else:
         raise ConfigError(f"unknown normalization scheme {scheme!r}")
     return EpochSet(epochs, es.labels.copy(), es.subject_id, es.sample_rate,
@@ -165,9 +172,13 @@ def load_epochset(path):
                 f"stage byte {stages.max()} outside 0..{NUM_STAGES - 1}",
                 field="labels",
             )
-        samples = np.frombuffer(
-            _need(f, n * l_epoch * 4, "samples"), dtype="<f4"
-        ).astype(np.float64).reshape(n, l_epoch)
+        samples = np.empty((n, l_epoch), dtype="<f4")
+        got = f.readinto(samples)
+        if got != samples.nbytes:
+            raise CorruptCache(
+                f"cache ends after {got} of {samples.nbytes} expected bytes",
+                field="samples",
+            )
         if f.read(1):
             raise CorruptCache("trailing bytes after samples", field="samples")
     return EpochSet(samples, stages, subject_id, rate)

@@ -7,13 +7,14 @@ import pytest
 
 from sleepstager.autodiff import Tensor, grad_check, scale, sum_all, take_per_row
 from sleepstager.blocks import FeatureExtractorConfig, feature_extractor_forward
-from sleepstager.data import EpochSet, make_windows
+from sleepstager.data import EpochSet, load_epochset, make_windows, save_epochset
 from sleepstager.errors import ConfigError, CorruptCheckpoint, ShapeError
 from sleepstager.model import (
     StagerConfig,
     build_stager_params,
     checkpoint_load,
     checkpoint_save,
+    encode_epochs,
     forward_batch,
 )
 from sleepstager.training import predict_epochs
@@ -169,6 +170,31 @@ class TestPredict:
         np.testing.assert_array_equal(
             predict_epochs(params, cfg, es), np.argmax(log_probs.data, axis=1)
         )
+
+
+class TestCachedSamples:
+    def test_float32_cache_set_runs_as_its_float64_copy(self, tiny_model, tmp_path):
+        """A set read from a cache keeps float32 samples; every model path
+        widens them to the same float64 values a float64 set would hold."""
+        cfg, params = tiny_model
+        save_epochset(random_recording(cfg, np.random.default_rng(8), 12),
+                      tmp_path / "s.sepc")
+        narrow = load_epochset(tmp_path / "s.sepc")
+        wide = EpochSet(narrow.epochs.astype(np.float64), narrow.labels, "s",
+                        cfg.sample_rate)
+        assert narrow.epochs.dtype == np.float32
+        assert wide.epochs.dtype == np.float64
+        np.testing.assert_array_equal(encode_epochs(narrow.epochs, params, cfg),
+                                      encode_epochs(wide.epochs, params, cfg))
+        np.testing.assert_array_equal(predict_epochs(params, cfg, narrow),
+                                      predict_epochs(params, cfg, wide))
+        for mode in ("eval", "train"):
+            outs = [
+                forward_batch(make_windows(es, cfg.window_size, 1, "replicate")
+                              .gather(range(12)), params, cfg, mode).log_probs.data
+                for es in (narrow, wide)
+            ]
+            np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def rewrite_manifest(path, edit):

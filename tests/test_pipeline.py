@@ -267,6 +267,18 @@ class TestCache:
         np.testing.assert_array_equal(
             loaded.epochs, es.epochs.astype(np.float32).astype(np.float64)
         )
+        # kept at the cache's precision
+        assert loaded.epochs.dtype == np.float32
+
+    @pytest.mark.parametrize("scheme", ["zscore_per_recording", "zscore_per_epoch"])
+    def test_cached_set_normalizes_in_float64(self, tmp_path, scheme):
+        save_epochset(toy_epochset(6, l_epoch=60, rate=2.0), tmp_path / "s.sepc")
+        narrow = load_epochset(tmp_path / "s.sepc")
+        wide = EpochSet(narrow.epochs.astype(np.float64), narrow.labels,
+                        narrow.subject_id, narrow.sample_rate)
+        out = normalize_recording(narrow, scheme).epochs
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, normalize_recording(wide, scheme).epochs)
 
     def test_truncated(self, tmp_path):
         es = toy_epochset(4, l_epoch=60, rate=2.0)
