@@ -10,11 +10,17 @@ because batchnorm follows every conv and would absorb it; ``concat`` joins
 along the last axis; and batch normalization uses the standard momentum
 and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
 
-Between forward and backward an op keeps only what its backward cannot
-cheaply rebuild: its inputs, which the graph holds anyway, and small
-per-channel or per-row values. conv1d keeps no padded or unfolded copy of
-its input and batchnorm1d no normalized copy; their backward rebuilds
-them with the calls forward made, so the gradients keep their bits.
+Between forward and backward an op keeps only its inputs' gradient slots
+and the arrays its backward reads: conv1d its input and weight,
+batchnorm1d its input and per-channel ``mean``, ``ivar`` and ``gamma``,
+mul, matmul and channel_scale their operands, relu, sigmoid, tanh and
+log_softmax their own output, and the rest shapes or indices only. So an
+op output that no backward reads, such as a batchnorm output under a
+relu, is freed with the forward pass's last reference to it. conv1d keeps
+no padded or unfolded copy of its input and batchnorm1d no normalized
+copy; their backward rebuilds them with the calls forward made, so the
+gradients keep their bits. A backward rule skips the gradient of an input
+whose slot does not require grad.
 """
 
 import numpy as np
@@ -24,7 +30,7 @@ from .tensor import Tensor, record
 
 
 def _rg(*tensors):
-    return any(t.requires_grad for t in tensors)
+    return any(t.slot.requires_grad for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +41,13 @@ def add(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape}")
     out = Tensor._wrap(a.data + b.data, _rg(a, b))
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
-        a.accumulate_grad(g)
-        b.accumulate_grad(g)
+        if sa.requires_grad:
+            sa.accumulate(g)
+        if sb.requires_grad:
+            sb.accumulate(g)
 
     record(out, bwd)
     return out
@@ -49,10 +58,13 @@ def add_rowvec(x, b):
     if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
         raise ShapeError(f"add_rowvec: {x.data.shape} + {b.data.shape}")
     out = Tensor._wrap(x.data + b.data, _rg(x, b))
+    sx, sb = x.slot, b.slot
 
     def bwd(g):
-        x.accumulate_grad(g)
-        b.accumulate_grad(g.sum(axis=0))
+        if sx.requires_grad:
+            sx.accumulate(g)
+        if sb.requires_grad:
+            sb.accumulate(g.sum(axis=0))
 
     record(out, bwd)
     return out
@@ -61,11 +73,15 @@ def add_rowvec(x, b):
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes {a.data.shape} vs {b.data.shape}")
-    out = Tensor._wrap(a.data * b.data, _rg(a, b))
+    ad, bd = a.data, b.data
+    out = Tensor._wrap(ad * bd, _rg(a, b))
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
-        a.accumulate_grad(g * b.data)
-        b.accumulate_grad(g * a.data)
+        if sa.requires_grad:
+            sa.accumulate(g * bd)
+        if sb.requires_grad:
+            sb.accumulate(g * ad)
 
     record(out, bwd)
     return out
@@ -74,10 +90,12 @@ def mul(a, b):
 def scale(x, c):
     """Multiply by a python constant."""
     c = float(c)
-    out = Tensor._wrap(x.data * c, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(x.data * c, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g * c)
+        if sx.requires_grad:
+            sx.accumulate(g * c)
 
     record(out, bwd)
     return out
@@ -90,10 +108,13 @@ def channel_scale(x, s):
         raise ShapeError(f"channel_scale: x {xd.shape} vs s {sd.shape}")
     se = sd[:, :, None]
     out = Tensor._wrap(xd * se, _rg(x, s))
+    sx, ss = x.slot, s.slot
 
     def bwd(g):
-        x.accumulate_grad(g * se)
-        s.accumulate_grad((g * xd).sum(axis=-1))
+        if sx.requires_grad:
+            sx.accumulate(g * se)
+        if ss.requires_grad:
+            ss.accumulate((g * xd).sum(axis=-1))
 
     record(out, bwd)
     return out
@@ -109,10 +130,13 @@ def matmul(a, b):
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {ad.shape} vs {bd.shape}")
     out = Tensor._wrap(ad @ bd, _rg(a, b))
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
-        a.accumulate_grad(g @ bd.T)
-        b.accumulate_grad(ad.T @ g)
+        if sa.requires_grad:
+            sa.accumulate(g @ bd.T)
+        if sb.requires_grad:
+            sb.accumulate(ad.T @ g)
 
     record(out, bwd)
     return out
@@ -121,10 +145,12 @@ def matmul(a, b):
 def transpose(x):
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got {x.data.shape}")
-    out = Tensor._wrap(x.data.T, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(x.data.T, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g.T)
+        if sx.requires_grad:
+            sx.accumulate(g.T)
 
     record(out, bwd)
     return out
@@ -140,12 +166,14 @@ def concat(tensors):
     out = Tensor._wrap(
         np.concatenate([t.data for t in tensors], axis=-1), _rg(*tensors)
     )
+    slots = [t.slot for t in tensors]
     sizes = [t.data.shape[-1] for t in tensors]
 
     def bwd(g):
         start = 0
-        for t, n in zip(tensors, sizes):
-            t.accumulate_grad(g[..., start : start + n])
+        for slot, n in zip(slots, sizes):
+            if slot.requires_grad:
+                slot.accumulate(g[..., start : start + n])
             start += n
 
     record(out, bwd)
@@ -155,14 +183,15 @@ def concat(tensors):
 def take_rows(x, indices):
     """Gather rows along axis 0; duplicate indices accumulate gradients."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor._wrap(x.data[idx], x.requires_grad)
+    sx, shape = x.slot, x.data.shape
+    out = Tensor._wrap(x.data[idx], sx.requires_grad)
 
     def bwd(g):
-        if not x.requires_grad:
+        if not sx.requires_grad:
             return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        if sx.grad is None:
+            sx.grad = np.zeros(shape)
+        np.add.at(sx.grad, idx, g)
 
     record(out, bwd)
     return out
@@ -174,24 +203,27 @@ def take_per_row(x, indices):
     if x.data.ndim != 2 or idx.shape != (x.data.shape[0],):
         raise ShapeError(f"take_per_row: x {x.data.shape}, idx {idx.shape}")
     rows = np.arange(x.data.shape[0])
-    out = Tensor._wrap(x.data[rows, idx], x.requires_grad)
+    sx, shape = x.slot, x.data.shape
+    out = Tensor._wrap(x.data[rows, idx], sx.requires_grad)
 
     def bwd(g):
-        if not x.requires_grad:
+        if not sx.requires_grad:
             return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (rows, idx), g)
+        if sx.grad is None:
+            sx.grad = np.zeros(shape)
+        np.add.at(sx.grad, (rows, idx), g)
 
     record(out, bwd)
     return out
 
 
 def sum_all(x):
-    out = Tensor._wrap(np.asarray(x.data.sum()), x.requires_grad)
+    sx, shape = x.slot, x.data.shape
+    out = Tensor._wrap(np.asarray(x.data.sum()), sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape))
+        if sx.requires_grad:
+            sx.accumulate(np.broadcast_to(g, shape))
 
     record(out, bwd)
     return out
@@ -202,10 +234,14 @@ def sum_all(x):
 
 
 def relu(x):
-    out = Tensor._wrap(np.maximum(x.data, 0.0), x.requires_grad)
+    """``max(x, 0)``; backward masks by the output, as ``y > 0`` iff ``x > 0``."""
+    sx = x.slot
+    y = np.maximum(x.data, 0.0)
+    out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g * (x.data > 0))
+        if sx.requires_grad:
+            sx.accumulate(g * (y > 0))
 
     record(out, bwd)
     return out
@@ -218,10 +254,12 @@ def sigmoid(x):
     y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     y[~pos] = ex / (1.0 + ex)
-    out = Tensor._wrap(y, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g * y * (1.0 - y))
+        if sx.requires_grad:
+            sx.accumulate(g * y * (1.0 - y))
 
     record(out, bwd)
     return out
@@ -229,10 +267,12 @@ def sigmoid(x):
 
 def tanh(x):
     y = np.tanh(x.data)
-    out = Tensor._wrap(y, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g * (1.0 - y * y))
+        if sx.requires_grad:
+            sx.accumulate(g * (1.0 - y * y))
 
     record(out, bwd)
     return out
@@ -246,10 +286,12 @@ def log_softmax(x):
     m = xd.max(axis=1, keepdims=True)
     z = xd - m
     y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor._wrap(y, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(g - np.exp(y) * g.sum(axis=1, keepdims=True))
+        if sx.requires_grad:
+            sx.accumulate(g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
     record(out, bwd)
     return out
@@ -291,15 +333,15 @@ def conv1d(x, w, *, stride=1, padding=0):
     ``x[N,C_in,L]``, ``w[C_out,C_in,K]`` -> ``[N,C_out,L_out]`` with
     L_out = floor((L + 2*padding - K)/stride) + 1.
 
-    Keeps for backward only ``x`` and ``w``: backward rebuilds the padded
-    input and its K-times-larger im2col copy with the same calls.
+    Keeps for backward only the arrays of ``x`` and ``w``: backward rebuilds
+    the padded input and its K-times-larger im2col copy with the same calls.
     """
     _check_ncl("conv1d", x)
-    xd = x.data
-    if w.data.ndim != 3:
-        raise ShapeError(f"conv1d: weight must be [C_out,C_in,K], got {w.data.shape}")
+    xd, wd = x.data, w.data
+    if wd.ndim != 3:
+        raise ShapeError(f"conv1d: weight must be [C_out,C_in,K], got {wd.shape}")
     n, c_in, l = xd.shape
-    c_out, c_in_w, k = w.data.shape
+    c_out, c_in_w, k = wd.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: input channels {c_in} vs weight {c_in_w}")
     lp = l + 2 * padding
@@ -307,26 +349,28 @@ def conv1d(x, w, *, stride=1, padding=0):
         raise ShapeError(f"conv1d: kernel {k} larger than padded input {lp}")
     l_out = (lp - k) // stride + 1
     _, patches = _conv_patches(xd, k, stride, padding, l_out)
-    y = np.matmul(w.data.reshape(c_out, c_in * k), patches)  # [N, C_out, L_out]
+    y = np.matmul(wd.reshape(c_out, c_in * k), patches)  # [N, C_out, L_out]
     out = Tensor._wrap(y, _rg(x, w))
+    sx, sw = x.slot, w.slot
 
     def bwd(g):
-        xp, patches = _conv_patches(x.data, k, stride, padding, l_out)
-        # sample by sample into one [C_out, C_in*K] buffer: the same sums, in
-        # the same order, as a stacked product reduced over the batch
-        gw = g[0] @ patches[0].T
-        for i in range(1, n):
-            gw += g[i] @ patches[i].T
-        w.accumulate_grad(gw.reshape(c_out, c_in, k))
-        del patches
-        if x.requires_grad:
-            w2 = w.data.reshape(c_out, c_in * k)
+        if sw.requires_grad:
+            _, patches = _conv_patches(xd, k, stride, padding, l_out)
+            # sample by sample into one [C_out, C_in*K] buffer: the same sums,
+            # in the same order, as a stacked product reduced over the batch
+            gw = g[0] @ patches[0].T
+            for i in range(1, n):
+                gw += g[i] @ patches[i].T
+            del patches
+            sw.accumulate(gw.reshape(c_out, c_in, k))
+        if sx.requires_grad:
+            w2 = wd.reshape(c_out, c_in * k)
             dpat = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((n, c_in, lp))
             for kk in range(k):
                 dxp[:, :, kk : kk + stride * l_out : stride] += dpat[:, :, kk, :]
             dx = dxp[:, :, padding : padding + l] if padding else dxp
-            x.accumulate_grad(dx)
+            sx.accumulate(dx)
 
     record(out, bwd)
     return out
@@ -337,10 +381,12 @@ def global_avg_pool(x):
     _check_ncl("global_avg_pool", x)
     xd = x.data
     l = xd.shape[-1]
-    out = Tensor._wrap(xd.mean(axis=-1), x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(xd.mean(axis=-1), sx.requires_grad)
 
     def bwd(g):
-        x.accumulate_grad(np.repeat(g[..., None], l, axis=-1) / l)
+        if sx.requires_grad:
+            sx.accumulate(np.repeat(g[..., None], l, axis=-1) / l)
 
     record(out, bwd)
     return out
@@ -360,15 +406,16 @@ def max_pool1d(x, k, stride):
     )
     arg = windows.argmax(axis=-1)
     y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    out = Tensor._wrap(y, x.requires_grad)
+    sx = x.slot
+    out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
-        if not x.requires_grad:
+        if not sx.requires_grad:
             return
         dx = np.zeros((n, c, l))
         ni, ci, ti = np.indices(arg.shape)
         np.add.at(dx, (ni, ci, ti * stride + arg), g)
-        x.accumulate_grad(dx)
+        sx.accumulate(dx)
 
     record(out, bwd)
     return out
@@ -404,8 +451,8 @@ def batchnorm1d(x, gamma, beta, state, mode):
     Train mode normalizes by batch statistics and folds them into the
     running state; eval mode applies the stored running statistics.
 
-    Keeps for backward the input and the per-channel ``mean`` and ``ivar``;
-    backward recomputes the normalized input ``xhat`` from them.
+    Keeps for backward the input and the per-channel ``mean``, ``ivar`` and
+    ``gamma``; backward recomputes the normalized input ``xhat`` from them.
     """
     _check_ncl("batchnorm1d", x)
     xd = x.data
@@ -432,23 +479,27 @@ def batchnorm1d(x, gamma, beta, state, mode):
         raise ContractViolation(f"unknown batchnorm mode: {mode!r}")
 
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    y = gamma.data[:, None] * _normalized(xd, mean, ivar) + beta.data[:, None]
+    gd = gamma.data
+    y = gd[:, None] * _normalized(xd, mean, ivar) + beta.data[:, None]
     out = Tensor._wrap(y, _rg(x, gamma, beta))
+    sx, sg, sb = x.slot, gamma.slot, beta.slot
 
     def bwd(g):
         xhat = _normalized(xd, mean, ivar)
-        gamma.accumulate_grad((g * xhat).sum(axis=(0, 2)))
-        beta.accumulate_grad(g.sum(axis=(0, 2)))
-        if not x.requires_grad:
+        if sg.requires_grad:
+            sg.accumulate((g * xhat).sum(axis=(0, 2)))
+        if sb.requires_grad:
+            sb.accumulate(g.sum(axis=(0, 2)))
+        if not sx.requires_grad:
             return
-        dxhat = g * gamma.data[:, None]
+        dxhat = g * gd[:, None]
         if mode == "eval":
             dx = dxhat * ivar[:, None]
         else:
             s1 = dxhat.sum(axis=(0, 2), keepdims=True)
             s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
             dx = (ivar[:, None] / m) * (m * dxhat - s1 - xhat * s2)
-        x.accumulate_grad(dx)
+        sx.accumulate(dx)
 
     record(out, bwd)
     return out

@@ -4,6 +4,12 @@ Every differentiable operation records a backward rule onto the thread's
 active :class:`Tape`. Operations append in execution order, so the tape is
 topologically sorted by construction and a single reverse sweep populates
 gradients for every tensor that requires them.
+
+A tensor keeps its gradient side in a small :class:`GradSlot`: the
+``requires_grad`` flag and the ``grad`` array. The tape and the backward
+rules hold slots, not tensors, so an op output that no backward rule reads
+is freed as soon as the forward pass drops it; its slot, which holds no
+data, stays on the tape to receive its gradient.
 """
 
 import threading
@@ -27,46 +33,73 @@ def active_tape():
     return stack[-1] if stack else None
 
 
+class GradSlot:
+    """The gradient side of one tensor: its ``requires_grad`` flag and ``grad``.
+
+    ``grad`` is None until a backward rule accumulates into it; the first
+    write copies, later writes add in place.
+    """
+
+    __slots__ = ("requires_grad", "grad")
+
+    def __init__(self, requires_grad):
+        self.requires_grad = requires_grad
+        self.grad = None
+
+    def accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """A dense n-dimensional float64 array with an optional gradient slot.
+    """A dense n-dimensional float64 array with a gradient slot.
 
     ``data`` is always a float64 ndarray; ``grad`` is either None or an
     ndarray of identical shape. Values are expected to stay finite; inputs
     entering from outside the op graph are validated on construction.
+    ``requires_grad`` and ``grad`` read and write the tensor's ``slot``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ContractViolation("tensor values must be finite (found NaN/Inf)")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.slot = GradSlot(bool(requires_grad))
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
         """Internal fast path for op outputs; skips the finiteness scan."""
         t = cls.__new__(cls)
         t.data = arr
-        t.requires_grad = requires_grad
-        t.grad = None
+        t.slot = GradSlot(requires_grad)
         return t
+
+    @property
+    def requires_grad(self):
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        self.slot.requires_grad = bool(value)
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
 
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def accumulate_grad(self, g):
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad += g
-
     def zero_grad(self):
-        self.grad = None
+        self.slot.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -97,8 +130,11 @@ class Tape:
         return False
 
     def record(self, out, backward_fn):
-        """Append a node: ``backward_fn(out_grad)`` scatters into the inputs."""
-        self._nodes.append((out, backward_fn))
+        """Append a node: ``backward_fn(out_grad)`` scatters into the inputs' slots.
+
+        The node keeps ``out``'s slot only, not ``out`` or its data.
+        """
+        self._nodes.append((out.slot, backward_fn))
 
     def __len__(self):
         return len(self._nodes)
@@ -107,7 +143,7 @@ class Tape:
 def record(out, backward_fn):
     """Record onto the active tape if the output participates in autodiff."""
     tape = active_tape()
-    if tape is not None and out.requires_grad:
+    if tape is not None and out.slot.requires_grad:
         tape.record(out, backward_fn)
 
 
@@ -119,8 +155,8 @@ def backward(loss, tape):
 
     The sweep pops each node off the tape as it runs it, so the node's
     backward rule, and every array only that rule held, is freed as the
-    sweep passes. An op output that no one else holds goes with its node;
-    a tensor the caller holds keeps its ``grad``.
+    sweep passes. A node's slot goes with it, gradient and all, unless its
+    tensor is still held: a tensor the caller holds keeps its ``grad``.
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -128,15 +164,16 @@ def backward(loss, tape):
         )
     if tape.consumed:
         raise ContractViolation("tape was already consumed by a previous backward")
-    if not any(out is loss for out, _ in tape._nodes):
+    loss_slot = loss.slot
+    if not any(slot is loss_slot for slot, _ in tape._nodes):
         raise ContractViolation("loss tensor was not produced on this tape")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    loss_slot.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
-        out, backward_fn = nodes.pop()
-        if out.grad is not None:
-            backward_fn(out.grad)
+        slot, backward_fn = nodes.pop()
+        if slot.grad is not None:
+            backward_fn(slot.grad)
 
 
 def zero_grads(tensors):

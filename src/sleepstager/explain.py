@@ -21,6 +21,8 @@ Only the layers above the final conv maps are differentiated: each step's
 extractor runs with no tape open, and its maps become a fresh leaf under
 pooling, the Bi-LSTM and the head. A heatmap costs ``PATH_STEPS`` (16)
 extractor passes and as many backward sweeps, none through a conv layer.
+The parameters do not require grad during the sweeps, so no sweep computes
+a weight gradient; only the leaf's gradient feeds the map.
 """
 
 import csv
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import STAGES
-from .autodiff import Tape, Tensor, backward, global_avg_pool, take_per_row, zero_grads
+from .autodiff import Tape, Tensor, backward, global_avg_pool, take_per_row
 from .blocks import feature_extractor_forward
 from .errors import InvalidInput, IoError
 from .model import classify, encode_epochs, window_epochs
@@ -80,24 +82,31 @@ def gradcam(params, cfg, window):
     passes, one per path step, is differentiated from its final conv maps
     upward only. The last step, the unscaled window, runs first: it gives
     the predicted class and the activations that the path-averaged
-    gradients weight.
+    gradients weight. Every parameter's ``requires_grad`` is off during the
+    sweeps and restored afterwards, also when a sweep raises; no parameter
+    ``grad`` is written.
     """
     epochs = window_epochs(np.asarray(window)[None], cfg)
     spans, mid = np.arange(cfg.window_size)[None], cfg.middle_index
-    zero_grads(params.registry.values())
+    flags = [(t, t.requires_grad) for t in params.registry.values()]
     grads = [None] * PATH_STEPS  # indexed by step, so they sum in step order
-    for k in (PATH_STEPS, *range(1, PATH_STEPS)):
-        x = Tensor(epochs * (k / PATH_STEPS))
-        _, maps = feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
-        leaf = Tensor(maps.data, requires_grad=True)
-        with Tape() as tape:
-            log_probs = classify(global_avg_pool(leaf), spans, params, cfg)
-            if k == PATH_STEPS:
-                predicted = int(np.argmax(log_probs.data[0]))
-                acts = maps.data[mid]
-            backward(take_per_row(log_probs, np.array([predicted])), tape)
-        grads[k - 1] = leaf.grad[mid].copy()
-    zero_grads(params.registry.values())
+    try:
+        for t, _ in flags:
+            t.requires_grad = False
+        for k in (PATH_STEPS, *range(1, PATH_STEPS)):
+            x = Tensor(epochs * (k / PATH_STEPS))
+            _, maps = feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
+            leaf = Tensor(maps.data, requires_grad=True)
+            with Tape() as tape:
+                log_probs = classify(global_avg_pool(leaf), spans, params, cfg)
+                if k == PATH_STEPS:
+                    predicted = int(np.argmax(log_probs.data[0]))
+                    acts = maps.data[mid]
+                backward(take_per_row(log_probs, np.array([predicted])), tape)
+            grads[k - 1] = leaf.grad[mid].copy()
+    finally:
+        for t, flag in flags:
+            t.requires_grad = flag
     raw = cam_from(acts, sum(grads) / PATH_STEPS)
     values, empty = normalize_minmax(upsample_linear(raw, cfg.epoch_len))
     return Heatmap(values, predicted, float(raw.max()), empty)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from sleepstager.autodiff import (
     transpose,
 )
 from sleepstager.autodiff.ops import BN_EPS
-from sleepstager.blocks import FeatureExtractorConfig, ParamBuilder, build_extractor
+from sleepstager.blocks import (
+    FeatureExtractorConfig,
+    ParamBuilder,
+    basic_block_forward,
+    build_basic_block,
+    build_extractor,
+)
 from sleepstager.errors import (
     ContractViolation,
     InvalidShape,
@@ -393,6 +400,62 @@ class TestRetention:
             tracemalloc.stop()
         assert len(tape) == 3
         assert held <= 1.1 * 3 * h.data.nbytes, held
+
+    @staticmethod
+    def conv_bn_relu_inputs():
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(8, 16, 500)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 7)), requires_grad=True)
+        gamma = Tensor(np.ones(16), requires_grad=True)
+        beta = Tensor(np.zeros(16), requires_grad=True)
+        return x, w, gamma, beta, BatchNormState(16)
+
+    def test_batchnorm_output_under_relu_dies_with_the_forward(self):
+        # relu's backward masks by its own output, so nothing on the open
+        # tape reads the batchnorm output it was given
+        x, w, gamma, beta, state = self.conv_bn_relu_inputs()
+        with Tape() as tape:
+            b = batchnorm1d(conv1d(x, w, padding=3), gamma, beta, state, "train")
+            kept = weakref.ref(b.data)
+            h = relu(b)
+            del b
+            assert kept() is None
+            loss = sum_all(h)
+        backward(loss, tape)
+        assert x.grad is not None and w.grad is not None
+
+    def test_conv_batchnorm_relu_keep_only_what_backward_reads(self):
+        # batchnorm reads the conv output and relu its own output: two maps
+        x, w, gamma, beta, state = self.conv_bn_relu_inputs()
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                h = relu(batchnorm1d(conv1d(x, w, padding=3), gamma, beta,
+                                     state, "train"))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 3
+        assert held <= 1.1 * 2 * h.data.nbytes, held
+
+    def test_block_with_shortcut_keeps_only_what_backward_reads(self):
+        # the [N, C_out, L_out] maps the block's backward rules read: conv1's
+        # output (bn1), relu1's (itself, conv2), conv2's (bn2), bn2's
+        # (channel_scale), the shortcut conv's (its batchnorm) and the
+        # block's output (the last relu): 6. Freed with the forward pass:
+        # the outputs of bn1, channel_scale, the shortcut batchnorm and add.
+        rng = np.random.default_rng(19)
+        p = build_basic_block(ParamBuilder(seed=0), "b", 8, 16, 2, 4)
+        x = Tensor(rng.normal(size=(4, 8, 1000)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = basic_block_forward(x, p, "train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) > 0 and out.data.shape == (4, 16, 500)
+        assert held <= 1.1 * 6 * out.data.nbytes, held
 
     def test_held_intermediate_keeps_its_grad(self):
         # the sweep frees the nodes it has run, not the gradients of

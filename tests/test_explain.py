@@ -150,12 +150,11 @@ class TestGradcam:
         assert raw_max > 0.0
 
     def test_extractor_stays_off_the_tape(self, trained, monkeypatch):
-        # no gradient reaches an extractor weight, and each path step runs
+        # no sweep computes a parameter gradient, and each path step runs
         # the extractor once, the unscaled window included
         cfg, params, data = trained
-        extractor = [t for name, t in params.registry.items()
-                     if name.startswith("extractor.")]
-        assert extractor
+        tensors = list(params.registry.values())
+        zero_grads(tensors)
         calls = {"backward": 0, "extractor": 0}
         real_backward = explain.backward
         real_extractor = explain.feature_extractor_forward
@@ -163,8 +162,7 @@ class TestGradcam:
         def checked_backward(loss, tape):
             real_backward(loss, tape)
             calls["backward"] += 1
-            assert params.registry["head.0.w"].grad is not None
-            assert all(t.grad is None for t in extractor)
+            assert all(t.grad is None for t in tensors)
 
         def counted_extractor(*args):
             calls["extractor"] += 1
@@ -175,6 +173,41 @@ class TestGradcam:
         gradcam(params, cfg, data[0].epochs[:3])
         assert calls == {"backward": PATH_STEPS, "extractor": PATH_STEPS}
         assert all(t.grad is None for t in params.registry.values())
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_parameters_come_back_as_found(self, trained, monkeypatch, fail):
+        # the sweeps run with every requires_grad off; gradcam restores the
+        # flags and writes no grad, also when its second sweep raises
+        cfg, params, data = trained
+        tensors = list(params.registry.values())
+        zero_grads(tensors)
+        tensors[0].grad = kept = np.zeros_like(tensors[0].data)
+        tensors[-1].requires_grad = False
+        before = [(t.requires_grad, t.grad) for t in tensors]
+        real_backward = explain.backward
+        calls = []
+
+        def failing_backward(loss, tape):
+            calls.append(1)
+            if fail and len(calls) == 2:
+                raise RuntimeError("sweep failed")
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(explain, "backward", failing_backward)
+        try:
+            if fail:
+                with pytest.raises(RuntimeError, match="sweep failed"):
+                    gradcam(params, cfg, data[0].epochs[:3])
+            else:
+                gradcam(params, cfg, data[0].epochs[:3])
+            after = [(t.requires_grad, t.grad) for t in tensors]
+        finally:
+            tensors[-1].requires_grad = True
+            zero_grads(tensors)
+        assert len(calls) == (2 if fail else PATH_STEPS)
+        assert [flag for flag, _ in after] == [flag for flag, _ in before]
+        assert all(g is g0 for (_, g), (_, g0) in zip(after, before))
+        assert after[0][1] is kept and not kept.any()
 
 
 class TestExportFeatures:
