@@ -307,24 +307,23 @@ def _check_ncl(op, x):
         raise ShapeError(f"{op}: expected [N, C, L], got {x.data.shape}")
 
 
-def _im2col(xp, k, stride, l_out):
-    """Unfold to [N, C*K, L_out]; per-sample GEMMs keep results independent
-    of batch composition (bit-exact batch equivariance)."""
+def _conv_patches(xd, k, stride, padding, l_out):
+    """Pad ``[N, C, L]`` and unfold it (im2col) to ``[N, C*K, L_out]``.
+
+    Forward and backward both build the patches here. Per-sample GEMMs on
+    them keep results independent of batch composition (bit-exact batch
+    equivariance).
+    """
+    if padding:
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    else:
+        xp = np.ascontiguousarray(xd)
     n, c, _ = xp.shape
     sn, sc, sl = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(n, c, k, l_out), strides=(sn, sc, sl, sl * stride)
     )
     return np.ascontiguousarray(windows).reshape(n, c * k, l_out)
-
-
-def _conv_patches(xd, k, stride, padding, l_out):
-    """The padded input and its im2col unfolding, as forward and backward use them."""
-    if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        xp = np.ascontiguousarray(xd)
-    return xp, _im2col(xp, k, stride, l_out)
 
 
 def conv1d(x, w, *, stride=1, padding=0):
@@ -348,14 +347,14 @@ def conv1d(x, w, *, stride=1, padding=0):
     if lp < k:
         raise ShapeError(f"conv1d: kernel {k} larger than padded input {lp}")
     l_out = (lp - k) // stride + 1
-    _, patches = _conv_patches(xd, k, stride, padding, l_out)
+    patches = _conv_patches(xd, k, stride, padding, l_out)
     y = np.matmul(wd.reshape(c_out, c_in * k), patches)  # [N, C_out, L_out]
     out = Tensor._wrap(y, _rg(x, w))
     sx, sw = x.slot, w.slot
 
     def bwd(g):
         if sw.requires_grad:
-            _, patches = _conv_patches(xd, k, stride, padding, l_out)
+            patches = _conv_patches(xd, k, stride, padding, l_out)
             # sample by sample into one [C_out, C_in*K] buffer: the same sums,
             # in the same order, as a stacked product reduced over the batch
             gw = g[0] @ patches[0].T

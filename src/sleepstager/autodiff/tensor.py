@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from ..errors import ContractViolation, InvalidShape
+from ..errors import ContractViolation
 
 _tls = threading.local()
 
@@ -180,31 +180,3 @@ def zero_grads(tensors):
     for t in tensors:
         t.zero_grad()
 
-
-def tensor_init(shape, scheme, value=0.0, seed=0, requires_grad=False):
-    """Create a tensor from one of the supported deterministic schemes.
-
-    ``scheme`` is ``"constant"`` (uses ``value``) or ``"fan_in_scaled"``
-    (uses ``seed``; zero-mean normal with variance 2/fan_in, where fan_in
-    is the product of all non-leading extents).
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise InvalidShape("shape must be non-empty")
-    if any(s < 1 for s in shape):
-        raise InvalidShape(f"all extents must be >= 1, got {shape}")
-    if scheme == "constant":
-        arr = np.full(shape, float(value))
-        if not np.isfinite(value):
-            raise ContractViolation("constant fill value must be finite")
-        return Tensor._wrap(arr, requires_grad)
-    if scheme == "fan_in_scaled":
-        fan_in = 1
-        for s in shape[1:]:
-            fan_in *= s
-        if len(shape) == 1:
-            fan_in = shape[0]
-        rng = np.random.default_rng(seed)
-        arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        return Tensor._wrap(arr, requires_grad)
-    raise ContractViolation(f"unknown init scheme: {scheme!r}")

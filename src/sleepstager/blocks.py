@@ -10,6 +10,8 @@ tensor: batchnorm follows every conv and absorbs a bias, so none has one.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .autodiff import (
     BatchNormState,
     Tensor,
@@ -22,7 +24,6 @@ from .autodiff import (
     max_pool1d,
     relu,
     sigmoid,
-    tensor_init,
     transpose,
 )
 from .errors import ConfigError, ShapeError
@@ -125,10 +126,6 @@ class ParamBuilder:
         self.states = {}
         self._count = 0
 
-    def _next_seed(self):
-        self._count += 1
-        return [self.seed, self._count]
-
     def _register(self, name, t):
         if name in self.registry:
             raise ConfigError(f"duplicate parameter name: {name}")
@@ -136,12 +133,16 @@ class ParamBuilder:
         return t
 
     def weight(self, name, shape):
-        t = tensor_init(shape, "fan_in_scaled", seed=self._next_seed(),
-                        requires_grad=True)
+        """He-normal draws: zero mean, variance 2 / fan_in, where fan_in is
+        the product of the non-leading extents."""
+        self._count += 1
+        rng = np.random.default_rng([self.seed, self._count])
+        std = np.sqrt(2.0 / math.prod(shape[1:]))
+        t = Tensor(rng.normal(0.0, std, size=tuple(shape)), requires_grad=True)
         return self._register(name, t)
 
     def const(self, name, shape, value=0.0):
-        t = tensor_init(shape, "constant", value=value, requires_grad=True)
+        t = Tensor(np.full(tuple(shape), float(value)), requires_grad=True)
         return self._register(name, t)
 
     def bn(self, name, channels):

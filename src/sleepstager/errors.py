@@ -5,10 +5,6 @@ class StagerError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidShape(StagerError):
-    """Tensor construction asked for an impossible shape (e.g. zero extent)."""
-
-
 class ShapeError(StagerError):
     """Operand shapes are inconsistent for the requested operation."""
 

@@ -2,7 +2,8 @@
 
 A window of W consecutive epochs runs through the shared extractor, the
 per-epoch features form a sequence for the stacked Bi-LSTM, and one linear
-softmax head reads the sequence output at the middle position (W-1)/2. To
+softmax head reads the stack's state at the middle position (W-1)/2, the
+one position the stack computes in its last layer. To
 score a whole recording, ``encode_epochs`` encodes each epoch once, in
 extractor calls of ``EVAL_BATCH`` epochs, and ``classify`` reads windows of
 the features. Every entry point takes a batch: windows ``[B, W, L]`` in
@@ -147,12 +148,13 @@ def classify(feats, spans, params, cfg):
     """Log-probabilities ``[B, 5]`` of windows of per-epoch features.
 
     Row ``b`` of ``spans`` ``[B, W]`` lists the rows of ``feats`` that make
-    window b; the Bi-LSTM reads them in order and the head its middle output.
+    window b. The Bi-LSTM reads them in order and returns its state at the
+    middle position alone (``stack_forward``), which the head classifies.
     """
     seq = [take_rows(feats, spans[:, t]) for t in range(cfg.window_size)]
-    outs = stack_forward(seq, params.stack)
+    middle = stack_forward(seq, params.stack)
     w, b = params.head
-    logits = add_rowvec(matmul(outs[cfg.middle_index], transpose(w)), b)
+    logits = add_rowvec(matmul(middle, transpose(w)), b)
     return log_softmax(logits)
 
 

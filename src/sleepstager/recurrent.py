@@ -1,9 +1,15 @@
-"""LSTM cell, bidirectional layer, and the stacked Bi-LSTM context encoder.
+"""LSTM cell and the stacked Bi-LSTM context encoder.
 
 Each cell holds four gate matrices acting on the concatenation
 ``[h(t-1), x(t)]``. Every step takes a batch of B sequences, ``x(t)`` as
 ``[B, D]`` and the state as ``[B, H]``; hidden state starts at zero for
 every sequence.
+
+The stack encodes a window for a head that reads only its middle
+position, so it returns the last layer's state there alone. Each lower
+layer runs both directions over the whole window; the last layer's
+forward cell stops at the middle, and its backward cell runs from the
+window's end back to it.
 """
 
 from dataclasses import dataclass
@@ -100,13 +106,9 @@ def lstm_cell_step(x_t, h_prev, c_prev, p):
     return h_t, c_t
 
 
-def _zero_state(like, hidden_size):
-    return Tensor(np.zeros((like.data.shape[0], hidden_size)))
-
-
 def _run_direction(seq, cell):
-    h = _zero_state(seq[0], cell.hidden_size)
-    c = _zero_state(seq[0], cell.hidden_size)
+    """The cell's hidden states over ``seq``, in order, from a zero state."""
+    h = c = Tensor(np.zeros((seq[0].data.shape[0], cell.hidden_size)))
     outputs = []
     for x_t in seq:
         h, c = lstm_cell_step(x_t, h, c, cell)
@@ -114,26 +116,28 @@ def _run_direction(seq, cell):
     return outputs
 
 
-def bilstm_layer_forward(seq, layer):
-    """Concatenate forward-direction and (re-reversed) backward-direction states."""
-    if not seq:
-        raise InvalidInput("bilstm layer got an empty sequence")
-    fwd_cell, bwd_cell = layer
-    fwd = _run_direction(seq, fwd_cell)
-    bwd = _run_direction(list(reversed(seq)), bwd_cell)[::-1]
-    return [concat([f, b]) for f, b in zip(fwd, bwd)]
-
-
 def stack_forward(seq, layers):
+    """The last layer's state ``[B, 2H]`` at the middle of ``seq``.
+
+    The middle is position ``(len(seq) - 1) // 2``: the forward and the
+    backward hidden state there, concatenated. The states at the other
+    positions of the last layer reach no output, so they are not computed.
+    """
+    if not seq:
+        raise InvalidInput("bilstm stack got an empty sequence")
     if len(layers) < 1:
         raise ConfigError("stack depth must be >= 1")
-    out = seq
-    for k, layer in enumerate(layers):
-        expected = layer[0].input_size
-        if out[0].data.shape[-1] != expected:
+    for k, (fwd_cell, bwd_cell) in enumerate(layers):
+        if seq[0].data.shape[-1] != fwd_cell.input_size:
             raise ConfigError(
-                f"stack layer {k} expects input dim {expected}, "
-                f"got {out[0].data.shape[-1]}"
+                f"stack layer {k} expects input dim {fwd_cell.input_size}, "
+                f"got {seq[0].data.shape[-1]}"
             )
-        out = bilstm_layer_forward(out, layer)
-    return out
+        if k < len(layers) - 1:
+            fwd = _run_direction(seq, fwd_cell)
+            bwd = _run_direction(seq[::-1], bwd_cell)[::-1]
+            seq = [concat([f, b]) for f, b in zip(fwd, bwd)]
+    mid = (len(seq) - 1) // 2
+    h_fwd = _run_direction(seq[: mid + 1], fwd_cell)[-1]
+    h_bwd = _run_direction(seq[mid:][::-1], bwd_cell)[-1]
+    return concat([h_fwd, h_bwd])

@@ -183,7 +183,7 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
     Deterministic for fixed configs: parameter init derives from the model
     seed, stride phases and shuffling from the training seed, and batches
     run single-threaded. Each history entry is the mean loss over that
-    epoch's windows.
+    epoch's windows. No parameter holds a gradient when it returns.
     """
     if not train_sets:
         raise EmptyDataset("no training recordings")
@@ -214,9 +214,8 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
         total = 0.0
         for start in range(0, n, train_cfg.batch_size):
             chosen = index[order[start : start + train_cfg.batch_size]]
-            groups = _group_by_view(chosen)
-            batch = np.concatenate([views[vi].gather(ks[:, 1]) for vi, ks in groups])
-            targets = np.concatenate([labels[vi][ks[:, 1]] for vi, ks in groups])
+            batch = np.stack([views[vi].gather([k])[0] for vi, k in chosen])
+            targets = [labels[vi][k] for vi, k in chosen]
             zero_grads(tensors)
             with Tape() as tape:
                 out = forward_batch(batch, params, model_cfg, "train")
@@ -228,20 +227,10 @@ def fit(train_sets, model_cfg, train_cfg, params=None, checkpoint_path=None):
             adam_step(params, adam)
             total += value * len(chosen)
         history.append(total / n)
+    zero_grads(tensors)
     if checkpoint_path is not None:
         checkpoint_save(params, replace(model_cfg, stride_train=stride), checkpoint_path)
     return params, history
-
-
-def _group_by_view(chosen):
-    """Split a (view_idx, window_idx) batch by view, preserving order."""
-    groups = []
-    start = 0
-    for i in range(1, len(chosen) + 1):
-        if i == len(chosen) or chosen[i, 0] != chosen[start, 0]:
-            groups.append((int(chosen[start, 0]), chosen[start:i]))
-            start = i
-    return groups
 
 
 def predict_epochs(params, model_cfg, es):

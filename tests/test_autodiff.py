@@ -30,7 +30,6 @@ from sleepstager.autodiff import (
     take_per_row,
     take_rows,
     tanh,
-    tensor_init,
     transpose,
 )
 from sleepstager.autodiff.ops import BN_EPS
@@ -43,7 +42,6 @@ from sleepstager.blocks import (
 )
 from sleepstager.errors import (
     ContractViolation,
-    InvalidShape,
     ShapeError,
     UninitializedState,
 )
@@ -67,30 +65,32 @@ def rand_tensor(rng, shape, lo=-1.0, hi=1.0):
 
 
 class TestTensorInit:
+    """Parameters come from ``ParamBuilder``: constant fills and He-normal draws."""
+
     def test_constant(self):
-        t = tensor_init([3], "constant", value=1.5)
+        t = ParamBuilder(seed=0).const("c", [3], 1.5)
         np.testing.assert_array_equal(t.data, [1.5, 1.5, 1.5])
+        assert t.requires_grad
 
     def test_fan_in_variance(self):
         # empirical variance of the generator over 10k draws, target 2/3
         draws = []
         for seed in range(157):
-            draws.append(tensor_init([64, 3], "fan_in_scaled", seed=seed).data.ravel())
+            w = ParamBuilder(seed=seed).weight("w", [64, 3])
+            draws.append(w.data.ravel())
         sample = np.concatenate(draws)[:10_000]
         var = sample.var()
         assert abs(var - 2.0 / 3.0) / (2.0 / 3.0) < 0.30
         assert abs(sample.mean()) < 0.05
 
     def test_deterministic(self):
-        a = tensor_init([4, 5], "fan_in_scaled", seed=7)
-        b = tensor_init([4, 5], "fan_in_scaled", seed=7)
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_zero_extent_rejected(self):
-        with pytest.raises(InvalidShape):
-            tensor_init([3, 0], "constant")
-        with pytest.raises(InvalidShape):
-            tensor_init([], "constant")
+        a, b = ParamBuilder(seed=7), ParamBuilder(seed=7)
+        for name, shape in (("w1", [4, 5]), ("w2", [2, 3, 5])):
+            np.testing.assert_array_equal(a.weight(name, shape).data,
+                                          b.weight(name, shape).data)
+        # each weight draws from its own stream
+        assert not np.array_equal(a.registry["w1"].data.ravel()[:6],
+                                  a.registry["w2"].data.ravel()[:6])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractViolation):
@@ -519,7 +519,7 @@ class TestBackward:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(1, 3, 20))
-        w = tensor_init([2, 3, 5], "fan_in_scaled", seed=3)
+        w = ParamBuilder(seed=3).weight("w", [2, 3, 5])
         a = conv1d(Tensor(x), w, stride=2, padding=2).data
         b2 = conv1d(Tensor(x), w, stride=2, padding=2).data
         assert np.array_equal(a, b2)

@@ -423,7 +423,7 @@ class TestExitCodes:
     def test_every_typed_error_exits_with_one_line(self, tmp_path, monkeypatch,
                                                    capsys):
         errors = typed_errors()
-        assert len(errors) >= 18
+        assert len(errors) >= 17
         for cls in errors:
             def fail(*args, cls=cls):
                 raise cls(f"{cls.__name__} raised")

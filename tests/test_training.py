@@ -162,6 +162,12 @@ class TestFit:
         fit(small_synth, cfg, tc, checkpoint_path=tmp_path / "b.sstg")
         assert (tmp_path / "a.sstg").read_bytes() == (tmp_path / "b.sstg").read_bytes()
 
+    def test_leaves_no_gradient_behind(self, small_synth):
+        cfg = supertiny_config(rate=8.0)
+        tc = TrainConfig(epochs=1, batch_size=16, stride_train=1, seed=9)
+        params, _ = fit(small_synth, cfg, tc)
+        assert [n for n, t in params.registry.items() if t.grad is not None] == []
+
     def test_checkpoint_records_the_trained_stride(self, small_synth, tmp_path):
         # the model config says stride 1, the run trains at stride 4
         cfg = supertiny_config(rate=8.0)
