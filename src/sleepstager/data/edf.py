@@ -7,6 +7,9 @@ Digital values map to physical units through the per-signal calibration:
 
     phys = (dig - dig_min) * (phys_max - phys_min) / (dig_max - dig_min) + phys_min
 
+One table per header (``_MAIN_FIELDS``, ``_SIGNAL_FIELDS``) states each
+field's name, width and type; the reader and the writer both walk it.
+
 Signals labeled "EDF Annotations" carry EDF+ timestamped annotation lists
 (TALs) instead of samples; their raw bytes are kept for the hypnogram
 parser.
@@ -20,33 +23,37 @@ from ..errors import ChannelNotFound, IoError, ParseError
 
 ANNOTATION_LABEL = "EDF Annotations"
 
-# (name, width) of the fixed main-header fields, in file order
+# (name, width, type) of the fixed main-header fields, in file order; the
+# reserved field has no type and is neither read nor checked
 _MAIN_FIELDS = (
-    ("version", 8),
-    ("patient_id", 80),
-    ("recording_id", 80),
-    ("start_date", 8),
-    ("start_time", 8),
-    ("header_bytes", 8),
-    ("reserved", 44),
-    ("n_records", 8),
-    ("record_duration", 8),
-    ("n_signals", 4),
+    ("version", 8, str),
+    ("patient_id", 80, str),
+    ("recording_id", 80, str),
+    ("start_date", 8, str),
+    ("start_time", 8, str),
+    ("header_bytes", 8, int),
+    ("reserved", 44, None),
+    ("n_records", 8, int),
+    ("record_duration", 8, float),
+    ("n_signals", 4, int),
 )
 
-# (name, width) of the per-signal fields, in file order
+# (name, width, type) of the per-signal fields, in file order
 _SIGNAL_FIELDS = (
-    ("label", 16),
-    ("transducer", 80),
-    ("physical_dim", 8),
-    ("phys_min", 8),
-    ("phys_max", 8),
-    ("dig_min", 8),
-    ("dig_max", 8),
-    ("prefilter", 80),
-    ("samples_per_record", 8),
-    ("reserved", 32),
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("physical_dim", 8, str),
+    ("phys_min", 8, float),
+    ("phys_max", 8, float),
+    ("dig_min", 8, int),
+    ("dig_max", 8, int),
+    ("prefilter", 80, str),
+    ("samples_per_record", 8, int),
+    ("reserved", 32, None),
 )
+
+_MAIN_BYTES = sum(width for _, width, _ in _MAIN_FIELDS)
+_SIGNAL_BYTES = sum(width for _, width, _ in _SIGNAL_FIELDS)  # per signal
 
 
 @dataclass
@@ -96,119 +103,86 @@ class EdfRecording:
         return self.signals[i].samples_per_record / self.record_duration
 
 
-def _ascii(raw, offset, width, fname):
+def _read_field(raw, offset, width, field, kind):
+    """The stripped ASCII text of one header cell, converted by ``kind``."""
     chunk = raw[offset : offset + width]
     try:
-        return chunk.decode("ascii")
+        text = chunk.decode("ascii").strip()
     except UnicodeDecodeError as e:
-        raise ParseError(f"non-ASCII bytes: {chunk!r}", offset=offset, field=fname) from e
-
-
-def _numeric(raw, offset, width, fname, kind):
-    text = _ascii(raw, offset, width, fname).strip()
+        raise ParseError(f"non-ASCII bytes: {chunk!r}", offset=offset, field=field) from e
     try:
         return kind(text)
     except ValueError as e:
         raise ParseError(
-            f"expected a number, got {text!r}", offset=offset, field=fname
+            f"expected a number, got {text!r}", offset=offset, field=field
         ) from e
+
+
+def _offsets(table, base=0, n=1, i=0):
+    """Where cell ``i`` of each field starts, in a block of ``n`` cells per
+    field from ``base`` on."""
+    offsets = {}
+    for name, width, _ in table:
+        offsets[name] = base + i * width
+        base += n * width
+    return offsets
+
+
+def _read_fields(raw, table, offsets, suffix=""):
+    """Each typed field's value, by name."""
+    return {
+        name: _read_field(raw, offsets[name], width, name + suffix, kind)
+        for name, width, kind in table
+        if kind is not None
+    }
+
+
+def _check(checks, offsets, suffix=""):
+    """Raise on the first ``(field, failed, message)`` that failed."""
+    for name, failed, message in checks:
+        if failed:
+            raise ParseError(message, offset=offsets[name], field=name + suffix)
 
 
 def parse_edf(data):
     """Parse an EDF byte string into an :class:`EdfRecording`."""
-    if len(data) < 256:
+    if len(data) < _MAIN_BYTES:
         raise ParseError(
-            f"file is {len(data)} bytes, shorter than the 256-byte header",
+            f"file is {len(data)} bytes, shorter than the {_MAIN_BYTES}-byte header",
             offset=len(data), field="header",
         )
-    fields = {}
-    offset = 0
-    for fname, width in _MAIN_FIELDS:
-        fields[fname] = (offset, width)
-        offset += width
+    at = _offsets(_MAIN_FIELDS)
+    head = _read_fields(data, _MAIN_FIELDS, at)
+    n_signals = head.pop("n_signals")
+    n_records, duration = head["n_records"], head["record_duration"]
+    _check([
+        ("n_signals", n_signals < 1, f"signal count {n_signals} < 1"),
+        ("n_records", n_records < 0, f"record count {n_records} < 0"),
+        ("record_duration", duration <= 0, f"record duration {duration} <= 0"),
+    ], at)
 
-    def main_str(fname):
-        off, width = fields[fname]
-        return _ascii(data, off, width, fname).strip()
-
-    def main_num(fname, kind):
-        off, width = fields[fname]
-        return _numeric(data, off, width, fname, kind)
-
-    version = main_str("version")
-    n_records = main_num("n_records", int)
-    record_duration = main_num("record_duration", float)
-    n_signals = main_num("n_signals", int)
-    if n_signals < 1:
-        raise ParseError(f"signal count {n_signals} < 1",
-                         offset=fields["n_signals"][0], field="n_signals")
-    if n_records < 0:
-        raise ParseError(f"record count {n_records} < 0",
-                         offset=fields["n_records"][0], field="n_records")
-    if record_duration <= 0:
-        raise ParseError(f"record duration {record_duration} <= 0",
-                         offset=fields["record_duration"][0],
-                         field="record_duration")
-
-    header_len = 256 + 256 * n_signals
+    header_len = _MAIN_BYTES + _SIGNAL_BYTES * n_signals
     if len(data) < header_len:
         raise ParseError(
             f"file ends inside the signal headers ({len(data)} < {header_len})",
             offset=len(data), field="signal_headers",
         )
+    declared = head.pop("header_bytes")
+    _check([("header_bytes", declared != header_len,
+             f"declared header size {declared} != {header_len}")], at)
 
-    declared_header_bytes = main_num("header_bytes", int)
-    if declared_header_bytes != header_len:
-        raise ParseError(
-            f"declared header size {declared_header_bytes} != {header_len}",
-            offset=fields["header_bytes"][0], field="header_bytes",
-        )
-
-    # per-signal headers are field-major
     signals = []
-    base = 256
-    columns = {}
-    for fname, width in _SIGNAL_FIELDS:
-        columns[fname] = (base, width)
-        base += width * n_signals
     for i in range(n_signals):
-        def col_str(fname):
-            off, width = columns[fname]
-            return _ascii(data, off + i * width, width, f"{fname}[{i}]").strip()
-
-        def col_num(fname, kind):
-            off, width = columns[fname]
-            return _numeric(data, off + i * width, width, f"{fname}[{i}]", kind)
-
-        sig = EdfSignal(
-            label=col_str("label"),
-            transducer=col_str("transducer"),
-            physical_dim=col_str("physical_dim"),
-            phys_min=col_num("phys_min", float),
-            phys_max=col_num("phys_max", float),
-            dig_min=col_num("dig_min", int),
-            dig_max=col_num("dig_max", int),
-            prefilter=col_str("prefilter"),
-            samples_per_record=col_num("samples_per_record", int),
-        )
-        if sig.dig_min >= sig.dig_max:
-            off, width = columns["dig_min"]
-            raise ParseError(
-                f"dig_min {sig.dig_min} >= dig_max {sig.dig_max}",
-                offset=off + i * width, field=f"dig_min[{i}]",
-            )
-        if sig.phys_min == sig.phys_max:
-            off, width = columns["phys_min"]
-            raise ParseError(
-                f"phys_min == phys_max == {sig.phys_min}",
-                offset=off + i * width, field=f"phys_min[{i}]",
-            )
-        if sig.samples_per_record < 1:
-            off, width = columns["samples_per_record"]
-            raise ParseError(
-                f"samples_per_record {sig.samples_per_record} < 1",
-                offset=off + i * width, field=f"samples_per_record[{i}]",
-            )
+        at = _offsets(_SIGNAL_FIELDS, _MAIN_BYTES, n_signals, i)
+        sig = EdfSignal(**_read_fields(data, _SIGNAL_FIELDS, at, f"[{i}]"))
+        _check([
+            ("dig_min", sig.dig_min >= sig.dig_max,
+             f"dig_min {sig.dig_min} >= dig_max {sig.dig_max}"),
+            ("phys_min", sig.phys_min == sig.phys_max,
+             f"phys_min == phys_max == {sig.phys_min}"),
+            ("samples_per_record", sig.samples_per_record < 1,
+             f"samples_per_record {sig.samples_per_record} < 1"),
+        ], at, f"[{i}]")
         signals.append(sig)
 
     record_samples = sum(s.samples_per_record for s in signals)
@@ -222,18 +196,13 @@ def parse_edf(data):
     raw = np.frombuffer(data, dtype="<i2", offset=header_len,
                         count=n_records * record_samples)
     raw = raw.reshape(n_records, record_samples)
-    digital = []
+    digital, physical, annotation_parts = [], [], []
     start = 0
     for sig in signals:
-        digital.append(
-            np.ascontiguousarray(raw[:, start : start + sig.samples_per_record])
-            .reshape(-1)
-        )
-        start += sig.samples_per_record
-
-    physical = []
-    annotation_parts = []
-    for sig, dig in zip(signals, digital):
+        stop = start + sig.samples_per_record
+        dig = np.ascontiguousarray(raw[:, start:stop]).reshape(-1)
+        digital.append(dig)
+        start = stop
         if sig.label == ANNOTATION_LABEL:
             physical.append(None)
             annotation_parts.append(dig.tobytes())
@@ -243,13 +212,7 @@ def parse_edf(data):
                             + sig.phys_min)
 
     return EdfRecording(
-        version=version,
-        patient_id=main_str("patient_id"),
-        recording_id=main_str("recording_id"),
-        start_date=main_str("start_date"),
-        start_time=main_str("start_time"),
-        n_records=n_records,
-        record_duration=record_duration,
+        **head,
         signals=signals,
         data=physical,
         annotation_bytes=b"".join(annotation_parts),
@@ -266,10 +229,12 @@ def parse_edf_file(path):
     return parse_edf(data)
 
 
-def _fit(text, width, fname):
+def _fit(value, width, field, kind):
+    """One header cell: floats as ``:g``, anything else as ``str``."""
+    text = f"{value:g}" if kind is float else value
     raw = str(text).encode("ascii")
     if len(raw) > width:
-        raise ParseError(f"value {text!r} exceeds field width {width}", field=fname)
+        raise ParseError(f"value {text!r} exceeds field width {width}", field=field)
     return raw.ljust(width)
 
 
@@ -310,34 +275,23 @@ def write_edf(signals, *, patient_id="X", recording_id="X", start_date="01.01.00
         raise ParseError(f"n_records {n_records} != data-implied {records}",
                          field="n_records")
 
-    n_signals = len(prepared)
-    header_len = 256 + 256 * n_signals
+    head = {
+        "version": "0", "patient_id": patient_id, "recording_id": recording_id,
+        "start_date": start_date, "start_time": start_time, "n_records": records,
+        "header_bytes": _MAIN_BYTES + _SIGNAL_BYTES * len(prepared),
+        "record_duration": record_duration, "n_signals": len(prepared),
+    }
+    columns = [
+        {"transducer": "", "physical_dim": "", "prefilter": "", **spec,
+         "samples_per_record": spr}
+        for spec, spr, _ in prepared
+    ]
     out = bytearray()
-    out += _fit("0", 8, "version")
-    out += _fit(patient_id, 80, "patient_id")
-    out += _fit(recording_id, 80, "recording_id")
-    out += _fit(start_date, 8, "start_date")
-    out += _fit(start_time, 8, "start_time")
-    out += _fit(header_len, 8, "header_bytes")
-    out += _fit("", 44, "reserved")
-    out += _fit(records, 8, "n_records")
-    out += _fit(f"{record_duration:g}", 8, "record_duration")
-    out += _fit(n_signals, 4, "n_signals")
-
-    def column(fname, values, width):
-        for v in values:
-            out.extend(_fit(v, width, fname))
-
-    column("label", [s["label"] for s, _, _ in prepared], 16)
-    column("transducer", [s.get("transducer", "") for s, _, _ in prepared], 80)
-    column("physical_dim", [s.get("physical_dim", "") for s, _, _ in prepared], 8)
-    column("phys_min", [f"{s['phys_min']:g}" for s, _, _ in prepared], 8)
-    column("phys_max", [f"{s['phys_max']:g}" for s, _, _ in prepared], 8)
-    column("dig_min", [s["dig_min"] for s, _, _ in prepared], 8)
-    column("dig_max", [s["dig_max"] for s, _, _ in prepared], 8)
-    column("prefilter", [s.get("prefilter", "") for s, _, _ in prepared], 80)
-    column("samples_per_record", [spr for _, spr, _ in prepared], 8)
-    column("reserved", ["" for _ in prepared], 32)
+    for name, width, kind in _MAIN_FIELDS:
+        out += _fit(head[name] if kind else "", width, name, kind)
+    for name, width, kind in _SIGNAL_FIELDS:
+        for values in columns:
+            out += _fit(values[name] if kind else "", width, name, kind)
 
     for r in range(records):
         for _, spr, dig in prepared:

@@ -155,7 +155,11 @@ def load_epochset(path):
             raise CorruptCache(f"unsupported cache version {version}",
                                     field="version")
         sid_len = int(np.frombuffer(_need(f, 2, "subject_id"), dtype="<u2")[0])
-        subject_id = _need(f, sid_len, "subject_id").decode("utf-8")
+        raw_id = _need(f, sid_len, "subject_id")
+        try:
+            subject_id = raw_id.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptCache(f"subject id is not UTF-8: {e}", field="subject_id") from e
         rate = float(np.frombuffer(_need(f, 8, "sample_rate"), dtype="<f8")[0])
         n = int(np.frombuffer(_need(f, 8, "n_epochs"), dtype="<u8")[0])
         l_epoch = int(np.frombuffer(_need(f, 8, "epoch_len"), dtype="<u8")[0])

@@ -260,6 +260,18 @@ def _read_array(f, shape, field):
     return arr
 
 
+def _entries(manifest, key, fields):
+    """The manifest's ``key`` list; each entry must be an object that holds
+    ``fields`` and a list ``shape``."""
+    entries = manifest[key]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and fields <= e.keys() and isinstance(e["shape"], list)
+        for e in entries
+    ):
+        raise CorruptCheckpoint(f"malformed {key} entries in the manifest", field=key)
+    return entries
+
+
 def checkpoint_load(path):
     """Rebuild ``(params, config)`` from a checkpoint file, bit-exactly."""
     try:
@@ -281,8 +293,8 @@ def checkpoint_load(path):
                                     field="manifest") from e
         try:
             cfg = StagerConfig.from_dict(manifest["config"])
-            tensor_entries = manifest["tensors"]
-            state_entries = manifest["state"]
+            tensor_entries = _entries(manifest, "tensors", {"name", "shape"})
+            state_entries = _entries(manifest, "state", {"name", "shape", "initialized"})
         except (KeyError, TypeError, ConfigError) as e:
             raise CorruptCheckpoint(f"bad manifest: {e}", field="manifest") from e
 

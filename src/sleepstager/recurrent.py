@@ -79,8 +79,32 @@ def build_bilstm_stack(builder, name, input_size, hidden_size, depth):
     return layers
 
 
-def _gate(zcat, w, b, act):
-    return act(add_rowvec(matmul(zcat, transpose(w)), b))
+def _gate(zcat, w_t, b, act):
+    return act(add_rowvec(matmul(zcat, w_t), b))
+
+
+def _transposed_gates(p):
+    """The four gate weights as ``[H+D, H]``, in the order f, i, c~, o."""
+    return [transpose(w) for w in (p.w_f, p.w_i, p.w_c, p.w_o)]
+
+
+def _cell_step(x_t, h_prev, c_prev, p, gates_t):
+    """:func:`lstm_cell_step` with the gate weights already transposed."""
+    xs, hs = x_t.data.shape, h_prev.data.shape
+    if len(xs) != 2 or xs[1] != p.input_size or hs != (xs[0], p.hidden_size):
+        raise ShapeError(
+            f"lstm_cell_step: x {xs} and h {hs} do not fit "
+            f"[B, {p.input_size}] and [B, {p.hidden_size}]"
+        )
+    w_f, w_i, w_c, w_o = gates_t
+    zcat = concat([h_prev, x_t])
+    f = _gate(zcat, w_f, p.b_f, sigmoid)
+    i = _gate(zcat, w_i, p.b_i, sigmoid)
+    c_hat = _gate(zcat, w_c, p.b_c, tanh)
+    c_t = add(mul(f, c_prev), mul(i, c_hat))
+    o = _gate(zcat, w_o, p.b_o, sigmoid)
+    h_t = mul(o, tanh(c_t))
+    return h_t, c_t
 
 
 def lstm_cell_step(x_t, h_prev, c_prev, p):
@@ -90,28 +114,19 @@ def lstm_cell_step(x_t, h_prev, c_prev, p):
     c~ = tanh(W_c [h, x] + b_c), c = f*c_prev + i*c~,
     o = sigma(W_o [h, x] + b_o), h = o*tanh(c).
     """
-    xs, hs = x_t.data.shape, h_prev.data.shape
-    if len(xs) != 2 or xs[1] != p.input_size or hs != (xs[0], p.hidden_size):
-        raise ShapeError(
-            f"lstm_cell_step: x {xs} and h {hs} do not fit "
-            f"[B, {p.input_size}] and [B, {p.hidden_size}]"
-        )
-    zcat = concat([h_prev, x_t])
-    f = _gate(zcat, p.w_f, p.b_f, sigmoid)
-    i = _gate(zcat, p.w_i, p.b_i, sigmoid)
-    c_hat = _gate(zcat, p.w_c, p.b_c, tanh)
-    c_t = add(mul(f, c_prev), mul(i, c_hat))
-    o = _gate(zcat, p.w_o, p.b_o, sigmoid)
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+    return _cell_step(x_t, h_prev, c_prev, p, _transposed_gates(p))
 
 
 def _run_direction(seq, cell):
-    """The cell's hidden states over ``seq``, in order, from a zero state."""
+    """The cell's hidden states over ``seq``, in order, from a zero state.
+
+    The gate weights are transposed once, for every step of the run.
+    """
+    gates_t = _transposed_gates(cell)
     h = c = Tensor(np.zeros((seq[0].data.shape[0], cell.hidden_size)))
     outputs = []
     for x_t in seq:
-        h, c = lstm_cell_step(x_t, h, c, cell)
+        h, c = _cell_step(x_t, h, c, cell, gates_t)
         outputs.append(h)
     return outputs
 

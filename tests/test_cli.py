@@ -485,6 +485,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: "), err
 
+    def test_malformed_manifest_exits_3(self, synth_cache, tmp_path, capsys):
+        # valid JSON, but a tensor entry without its shape
+        ckpt = untrained_checkpoint(tmp_path / "model.sstg", initialized=True)
+        blob = ckpt.read_bytes()
+        mlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        manifest = json.loads(blob[16 : 16 + mlen])
+        del manifest["tensors"][0]["shape"]
+        raw = json.dumps(manifest).encode()
+        ckpt.write_bytes(blob[:8] + np.uint64(len(raw)).tobytes() + raw
+                         + blob[16 + mlen :])
+        assert main(["eval", "--checkpoint", str(ckpt), "--cache-dir",
+                     str(synth_cache), "--out-dir", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: "), err
+        assert "field: tensors" in err[0]
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.01"])
     def test_bad_lr_exits_2(self, synth_cache, tmp_path, capsys, lr):
         assert main(["train", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,

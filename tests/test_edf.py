@@ -146,3 +146,104 @@ class TestMalformations:
         with pytest.raises(ChannelNotFound) as e:
             rec.channel("EEG Pz-Oz")
         assert "EEG Fpz-Cz" in str(e.value)
+
+
+# Header layout per the EDF specification, written out here independently
+# of the module's tables: (name, width, numeric) in file order, reserved
+# fields left out but counted in the offsets.
+MAIN_LAYOUT = [
+    ("version", 8, False), ("patient_id", 80, False),
+    ("recording_id", 80, False), ("start_date", 8, False),
+    ("start_time", 8, False), ("header_bytes", 8, True), (None, 44, False),
+    ("n_records", 8, True), ("record_duration", 8, True),
+    ("n_signals", 4, True),
+]
+SIGNAL_LAYOUT = [
+    ("label", 16, False), ("transducer", 80, False),
+    ("physical_dim", 8, False), ("phys_min", 8, True), ("phys_max", 8, True),
+    ("dig_min", 8, True), ("dig_max", 8, True), ("prefilter", 80, False),
+    ("samples_per_record", 8, True), (None, 32, False),
+]
+TAL = b"+0\x1430\x15Sleep stage W\x14\x00+30\x1430\x15Sleep stage 1\x14\x00"
+
+
+def two_signal_file():
+    """An EEG signal and an EDF+ annotation signal, two 30 s records."""
+    dig = np.random.default_rng(5).integers(-2048, 2048, 20).astype(np.int16)
+    return write_edf(
+        [
+            {"label": "EEG Fpz-Cz", "transducer": "AgCl", "physical_dim": "uV",
+             "phys_min": -312.5, "phys_max": 312.5, "dig_min": -2048,
+             "dig_max": 2047, "prefilter": "HP:0.5Hz", "samples_per_record": 10,
+             "digital": dig},
+            {"label": "EDF Annotations", "phys_min": -1, "phys_max": 1,
+             "dig_min": -32768, "dig_max": 32767, "samples_per_record": 15,
+             "digital": TAL.ljust(60, b"\x00")},
+        ],
+        patient_id="P-7", recording_id="night-2", record_duration=30.0,
+    )
+
+
+def header_cells(n_signals=2):
+    """``(field, offset, width, numeric)`` of every typed header cell."""
+    cells, at = [], 0
+    for name, width, numeric in MAIN_LAYOUT:
+        if name:
+            cells.append((name, at, width, numeric))
+        at += width
+    for name, width, numeric in SIGNAL_LAYOUT:
+        for i in range(n_signals):
+            if name:
+                cells.append((f"{name}[{i}]", at + i * width, width, numeric))
+        at += n_signals * width
+    return cells
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("fname, offset, width, numeric", header_cells())
+    def test_non_ascii_cell_named_with_its_offset(self, fname, offset, width, numeric):
+        blob = two_signal_file()
+        bad = "é".encode("latin-1").ljust(width)
+        with pytest.raises(ParseError) as e:
+            parse_edf(blob[:offset] + bad + blob[offset + width:])
+        assert (e.value.field, e.value.offset) == (fname, offset)
+        assert "non-ASCII" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "fname, offset, width",
+        [(f, o, w) for f, o, w, numeric in header_cells() if numeric],
+    )
+    def test_non_numeric_cell_named_with_its_offset(self, fname, offset, width):
+        blob = two_signal_file()
+        with pytest.raises(ParseError) as e:
+            parse_edf(blob[:offset] + b"x1".ljust(width) + blob[offset + width:])
+        assert (e.value.field, e.value.offset) == (fname, offset)
+        assert "expected a number" in str(e.value)
+
+    @pytest.mark.parametrize("spec, kwargs, fname", [
+        ({}, {"patient_id": "p" * 81}, "patient_id"),
+        ({"label": "L" * 17}, {}, "label"),
+    ])
+    def test_writer_rejects_a_value_wider_than_its_field(self, spec, kwargs, fname):
+        sig = {"label": "EEG", "phys_min": -1, "phys_max": 1, "dig_min": -10,
+               "dig_max": 10, "samples_per_record": 2,
+               "digital": np.zeros(4, dtype=np.int16), **spec}
+        with pytest.raises(ParseError) as e:
+            write_edf([sig], **kwargs)
+        assert e.value.field == fname
+
+    def test_annotation_signal_round_trips_byte_for_byte(self):
+        blob = two_signal_file()
+        rec = parse_edf(blob)
+        assert rec.data[1] is None
+        assert rec.annotation_bytes == TAL.ljust(60, b"\x00")
+        again = write_edf(
+            [
+                {**vars(sig), "digital": dig}
+                for sig, dig in zip(rec.signals, rec.digital)
+            ],
+            patient_id=rec.patient_id, recording_id=rec.recording_id,
+            start_date=rec.start_date, start_time=rec.start_time,
+            record_duration=rec.record_duration,
+        )
+        assert again == blob

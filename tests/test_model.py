@@ -268,6 +268,23 @@ class TestCheckpoint:
             checkpoint_load(path)
         assert e.value.field == manifest["tensors"][0]["name"]
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m["tensors"].__setitem__(0, ["w", [1]]), "tensors"),
+        (lambda m: m["tensors"][0].__setitem__("shape", 8), "tensors"),
+        (lambda m: m["tensors"][0].pop("shape"), "tensors"),
+        (lambda m: m["state"][0].pop("initialized"), "state"),
+    ], ids=["tensor_not_object", "shape_not_list", "shape_missing",
+            "initialized_missing"])
+    def test_malformed_entry_names_its_list(self, tmp_path, edit, field):
+        # a manifest that is valid JSON but whose entries are malformed
+        cfg = tiny_config(seed=13)
+        path = tmp_path / "model.sstg"
+        checkpoint_save(build_stager_params(cfg), cfg, path)
+        rewrite_manifest(path, edit)
+        with pytest.raises(CorruptCheckpoint) as e:
+            checkpoint_load(path)
+        assert e.value.field == field
+
     @pytest.mark.parametrize("key, value", [
         ("stride_eval", 2),
         ("num_classes", 4),

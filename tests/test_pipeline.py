@@ -307,6 +307,16 @@ class TestCache:
             load_epochset(path)
         assert e.value.field == field
 
+    def test_subject_id_not_utf8(self, tmp_path):
+        path = tmp_path / "s.sepc"
+        save_epochset(toy_epochset(4, l_epoch=60, rate=2.0), path)
+        blob = bytearray(path.read_bytes())
+        blob[10:12] = b"\xff\xfe"  # the id's first two bytes, after its u16 length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCache) as e:
+            load_epochset(path)
+        assert e.value.field == "subject_id"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.sepc"
         path.write_bytes(b"NOPE" + b"\x00" * 50)

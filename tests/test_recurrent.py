@@ -215,13 +215,13 @@ class TestStack:
         # lower layers step both cells over all W positions; the last layer
         # steps each cell from its end of the window to the middle
         calls = []
-        step = recurrent.lstm_cell_step
+        step = recurrent._cell_step
 
         def counted(*args):
             calls.append(1)
             return step(*args)
 
-        monkeypatch.setattr(recurrent, "lstm_cell_step", counted)
+        monkeypatch.setattr(recurrent, "_cell_step", counted)
         stack = build_bilstm_stack(ParamBuilder(seed=18), "stk", 3, 4, depth)
         seq = [Tensor(np.ones((2, 3))) for _ in range(length)]
         stack_forward(seq, stack)
