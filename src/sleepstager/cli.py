@@ -15,8 +15,10 @@ each reported as one line on stderr.
 
 import argparse
 import csv
+import glob
 import json
 import os
+import string
 import sys
 from pathlib import Path
 
@@ -114,7 +116,12 @@ _HYPNOGRAM_NAMES = (
 
 
 def _find_hypnogram(edf_path):
-    """The one hypnogram next to a recording; its suffix tells its format."""
+    """The one hypnogram next to a recording; its suffix tells its format.
+
+    Failing every exact name, a stem that ends in ``0`` pairs the way
+    SleepEDF names its files: ``SC4001E0-PSG.edf`` with
+    ``SC4001EC-Hypnogram.edf``, the last character a scorer's letter.
+    """
     stem = _subject_of(edf_path)
     found = []
     for names in _HYPNOGRAM_NAMES:
@@ -126,8 +133,21 @@ def _find_hypnogram(edf_path):
             f"{found[0].name} and {found[1].name}",
             field="hypnogram",
         )
+    tried = [n.format(stem) for names in _HYPNOGRAM_NAMES for n in names]
+    if not found and stem.endswith("0"):
+        prefix = stem[:-1]
+        tried.append(f"{prefix}?-Hypnogram.edf")
+        found = sorted(
+            p for p in edf_path.parent.glob(f"{glob.escape(prefix)}?-Hypnogram.edf")
+            if p.name[len(prefix)] in string.ascii_letters
+        )
+        if len(found) > 1:
+            raise ParseError(
+                f"hypnograms of {len(found)} scorers next to {edf_path.name}: "
+                + ", ".join(p.name for p in found),
+                field="hypnogram",
+            )
     if not found:
-        tried = [n.format(stem) for names in _HYPNOGRAM_NAMES for n in names]
         raise ParseError(
             f"no hypnogram next to {edf_path.name}; tried {tried}",
             field="hypnogram",
@@ -332,11 +352,9 @@ def cmd_explain(run, out_dir):
 
 
 # the keys of a training run, shared by train and cv
-_TRAIN_KEYS = (
-    "cache_dir", "variant", "width_multiplier", "reduction_ratio", "window_size",
-    "lstm_hidden", "lstm_depth", "epochs", "batch_size", "lr", "stride_train",
-    "seed",
-)
+_TRAIN_KEYS = ("cache_dir", *(
+    name for name, spec in KEYS.items() if spec.section in ("model", "train")
+))
 
 _COMMANDS = {
     "prepare": (

@@ -10,7 +10,7 @@ log-probability GradCAM explains) are constants, not keys.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .blocks import BLOCKS_PER_STAGE, FeatureExtractorConfig
 from .errors import ConfigError
@@ -169,30 +169,18 @@ class RunConfig:
         return value
 
 
+def _from_run(cls, run, **given):
+    """``cls``'s fields by name: ``given``, the rest from the run's keys."""
+    return {f.name: run[f.name] for f in fields(cls) if f.name not in given} | given
+
+
 def model_config_from(run, sample_rate):
     """Build a validated StagerConfig from run settings plus the data's rate."""
-    extractor = FeatureExtractorConfig.create(
-        run["variant"],
-        width_multiplier=run["width_multiplier"],
-        reduction_ratio=run["reduction_ratio"],
-    )
-    cfg = StagerConfig(
-        window_size=run["window_size"],
-        stride_train=run["stride_train"],
-        extractor=extractor,
-        lstm_hidden=run["lstm_hidden"],
-        lstm_depth=run["lstm_depth"],
-        sample_rate=sample_rate,
-        seed=run["seed"],
-    )
-    return cfg.validate()
+    extractor = FeatureExtractorConfig.create(**_from_run(FeatureExtractorConfig, run))
+    return StagerConfig(**_from_run(
+        StagerConfig, run, extractor=extractor, sample_rate=sample_rate
+    )).validate()
 
 
 def train_config_from(run):
-    return TrainConfig(
-        epochs=run["epochs"],
-        batch_size=run["batch_size"],
-        lr=run["lr"],
-        stride_train=run["stride_train"],
-        seed=run["seed"],
-    ).validate()
+    return TrainConfig(**_from_run(TrainConfig, run)).validate()

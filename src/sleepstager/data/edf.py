@@ -15,6 +15,7 @@ Signals labeled "EDF Annotations" carry EDF+ timestamped annotation lists
 parser.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,11 +112,16 @@ def _read_field(raw, offset, width, field, kind):
     except UnicodeDecodeError as e:
         raise ParseError(f"non-ASCII bytes: {chunk!r}", offset=offset, field=field) from e
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as e:
         raise ParseError(
             f"expected a number, got {text!r}", offset=offset, field=field
         ) from e
+    if kind is float and not math.isfinite(value):
+        raise ParseError(
+            f"expected a finite number, got {text!r}", offset=offset, field=field
+        )
+    return value
 
 
 def _offsets(table, base=0, n=1, i=0):
@@ -232,7 +238,10 @@ def parse_edf_file(path):
 def _fit(value, width, field, kind):
     """One header cell: floats as ``:g``, anything else as ``str``."""
     text = f"{value:g}" if kind is float else value
-    raw = str(text).encode("ascii")
+    try:
+        raw = str(text).encode("ascii")
+    except UnicodeEncodeError as e:
+        raise ParseError(f"value {text!r} is not ASCII", field=field) from e
     if len(raw) > width:
         raise ParseError(f"value {text!r} exceeds field width {width}", field=field)
     return raw.ljust(width)
@@ -248,9 +257,14 @@ def write_edf(signals, *, patient_id="X", recording_id="X", start_date="01.01.00
     raw TAL bytes may be given instead for annotation signals). Optional:
     ``transducer``, ``physical_dim``, ``prefilter``.
     """
+    required = [name for name, _, kind in _SIGNAL_FIELDS if kind] + ["digital"]
     prepared = []
     counts = set()
-    for spec in signals:
+    for i, spec in enumerate(signals):
+        spec = {"transducer": "", "physical_dim": "", "prefilter": "", **spec}
+        missing = [name for name in required if name not in spec]
+        if missing:
+            raise ParseError(f"signal {i} has no {missing[0]!r}", field=missing[0])
         spr = int(spec["samples_per_record"])
         payload = spec["digital"]
         if isinstance(payload, (bytes, bytearray)):
@@ -281,11 +295,7 @@ def write_edf(signals, *, patient_id="X", recording_id="X", start_date="01.01.00
         "header_bytes": _MAIN_BYTES + _SIGNAL_BYTES * len(prepared),
         "record_duration": record_duration, "n_signals": len(prepared),
     }
-    columns = [
-        {"transducer": "", "physical_dim": "", "prefilter": "", **spec,
-         "samples_per_record": spr}
-        for spec, spr, _ in prepared
-    ]
+    columns = [{**spec, "samples_per_record": spr} for spec, spr, _ in prepared]
     out = bytearray()
     for name, width, kind in _MAIN_FIELDS:
         out += _fit(head[name] if kind else "", width, name, kind)

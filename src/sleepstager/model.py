@@ -9,13 +9,13 @@ extractor calls of ``EVAL_BATCH`` epochs, and ``classify`` reads windows of
 the features. Every entry point takes a batch: windows ``[B, W, L]`` in
 ``forward_batch`` and a recording's epochs ``[N, L]`` in ``encode_epochs``;
 training, scoring and GradCAM all end in the head ``classify``.
-Checkpoints serialize every learnable tensor plus batchnorm running state
-bit-exactly.
+A checkpoint's payload holds, bit-exactly and in this order, every learnable
+tensor, then each batchnorm state's running mean and running variance.
 """
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,16 +85,8 @@ class StagerConfig:
         return (self.window_size - 1) // 2
 
     def to_dict(self):
-        return {
-            "window_size": self.window_size,
-            "stride_train": self.stride_train,
-            **_FIXED_MANIFEST_KEYS,
-            "extractor": self.extractor.to_dict(),
-            "lstm_hidden": self.lstm_hidden,
-            "lstm_depth": self.lstm_depth,
-            "sample_rate": self.sample_rate,
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, **_FIXED_MANIFEST_KEYS, "extractor": self.extractor.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
@@ -102,15 +94,10 @@ class StagerConfig:
             if d[key] != value:
                 raise ConfigError(f"{key} is fixed at {value}, got {d[key]}")
         try:
-            cfg = cls(
-                window_size=int(d["window_size"]),
-                stride_train=int(d["stride_train"]),
-                extractor=FeatureExtractorConfig.from_dict(d["extractor"]),
-                lstm_hidden=int(d["lstm_hidden"]),
-                lstm_depth=int(d["lstm_depth"]),
-                sample_rate=float(d["sample_rate"]),
-                seed=int(d["seed"]),
-            )
+            numbers = {f.name: f.type(d[f.name]) for f in fields(cls)
+                       if f.name != "extractor"}
+            cfg = cls(**numbers,
+                      extractor=FeatureExtractorConfig.from_dict(d["extractor"]))
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"manifest value is not a usable number: {e}") from e
         return cfg.validate()
@@ -206,20 +193,21 @@ def encode_epochs(epochs, params, cfg):
 
 
 def _manifest(params, cfg):
-    tensors = [
-        {"name": name, "shape": list(t.data.shape)}
-        for name, t in params.registry.items()
-    ]
-    state = []
-    for name, st in params.states.items():
-        state.append(
-            {
-                "name": name,
-                "shape": list(st.running_mean.shape),
-                "initialized": bool(st.initialized),
-            }
-        )
+    tensors = [{"name": name, "shape": list(t.data.shape)}
+               for name, t in params.registry.items()]
+    state = [{"name": name, "shape": list(st.running_mean.shape),
+              "initialized": bool(st.initialized)}
+             for name, st in params.states.items()]
     return {"config": cfg.to_dict(), "tensors": tensors, "state": state}
+
+
+def _payload(params):
+    """The payload's arrays in file order, as ``(name, owner, attribute)``."""
+    for name, t in params.registry.items():
+        yield name, t, "data"
+    for name, st in params.states.items():
+        yield name, st, "running_mean"
+        yield name, st, "running_var"
 
 
 def checkpoint_save(params, cfg, path):
@@ -230,11 +218,8 @@ def checkpoint_save(params, cfg, path):
     buf.write(np.uint32(CHECKPOINT_VERSION).tobytes())
     buf.write(np.uint64(len(manifest)).tobytes())
     buf.write(manifest)
-    for t in params.registry.values():
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    for st in params.states.values():
-        buf.write(np.ascontiguousarray(st.running_mean, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(st.running_var, dtype="<f8").tobytes())
+    for _, owner, attr in _payload(params):
+        buf.write(np.ascontiguousarray(getattr(owner, attr), dtype="<f8").tobytes())
     try:
         with open(path, "wb") as f:
             f.write(buf.getvalue())
@@ -260,16 +245,25 @@ def _read_array(f, shape, field):
     return arr
 
 
-def _entries(manifest, key, fields):
-    """The manifest's ``key`` list; each entry must be an object that holds
-    ``fields`` and a list ``shape``."""
-    entries = manifest[key]
+def _check_entries(entries, key, noun, expected):
+    """Check a manifest list against the ``expected`` entries the config
+    writes: their fields, a list ``shape``, then the names and shapes."""
+    required = set().union(*expected)  # the fields of the expected entries
     if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and fields <= e.keys() and isinstance(e["shape"], list)
+        isinstance(e, dict) and required <= e.keys() and isinstance(e["shape"], list)
         for e in entries
     ):
         raise CorruptCheckpoint(f"malformed {key} entries in the manifest", field=key)
-    return entries
+    if [e["name"] for e in entries] != [e["name"] for e in expected]:
+        raise CorruptCheckpoint(
+            f"{noun} list does not match the declared config", field=key
+        )
+    for entry, want in zip(entries, expected):
+        if entry["shape"] != want["shape"]:
+            raise CorruptCheckpoint(
+                f"declared shape {entry['shape']} != expected {want['shape']}",
+                field=entry["name"],
+            )
 
 
 def checkpoint_load(path):
@@ -293,41 +287,18 @@ def checkpoint_load(path):
                                     field="manifest") from e
         try:
             cfg = StagerConfig.from_dict(manifest["config"])
-            tensor_entries = _entries(manifest, "tensors", {"name", "shape"})
-            state_entries = _entries(manifest, "state", {"name", "shape", "initialized"})
+            tensors, state = manifest["tensors"], manifest["state"]
         except (KeyError, TypeError, ConfigError) as e:
             raise CorruptCheckpoint(f"bad manifest: {e}", field="manifest") from e
 
         params = build_stager_params(cfg)
-        declared = [e["name"] for e in tensor_entries]
-        if declared != list(params.registry.keys()):
-            raise CorruptCheckpoint(
-                "tensor list does not match the declared config", field="tensors"
-            )
-        for entry in tensor_entries:
-            name = entry["name"]
-            t = params.registry[name]
-            if tuple(entry["shape"]) != t.data.shape:
-                raise CorruptCheckpoint(
-                    f"declared shape {entry['shape']} != expected "
-                    f"{list(t.data.shape)}", field=name
-                )
-            t.data = _read_array(f, t.data.shape, name)
-        if [e["name"] for e in state_entries] != list(params.states.keys()):
-            raise CorruptCheckpoint(
-                "state list does not match the declared config", field="state"
-            )
-        for entry in state_entries:
-            name = entry["name"]
-            st = params.states[name]
-            if tuple(entry["shape"]) != st.running_mean.shape:
-                raise CorruptCheckpoint(
-                    f"declared shape {entry['shape']} != expected "
-                    f"{list(st.running_mean.shape)}", field=name
-                )
-            st.running_mean = _read_array(f, st.running_mean.shape, name)
-            st.running_var = _read_array(f, st.running_mean.shape, name)
+        expected = _manifest(params, cfg)
+        _check_entries(tensors, "tensors", "tensor", expected["tensors"])
+        _check_entries(state, "state", "state", expected["state"])
+        for entry, st in zip(state, params.states.values()):
             st.initialized = bool(entry["initialized"])
+        for name, owner, attr in _payload(params):
+            setattr(owner, attr, _read_array(f, getattr(owner, attr).shape, name))
         if f.read(1):
             raise CorruptCheckpoint("trailing bytes after payload", field="payload")
     return params, cfg

@@ -224,6 +224,46 @@ class TestPrepare:
         assert not (out / "A1.sepc").exists()
         assert "skipping A1-PSG.edf" in capsys.readouterr().err
 
+    @staticmethod
+    def craft_sleepedf(edf_dir, stem, scorers, seed=0):
+        """``<stem>-PSG.edf`` with one ``-Hypnogram.edf`` per scorer name."""
+        annotations = [(0, 30, "Sleep stage W"), (30, 30, "Sleep stage 2")]
+        craft_pair(edf_dir, stem, annotations, n_epochs=2, seed=seed)
+        hyp = (edf_dir / f"{stem}-Hypnogram.edf").read_bytes()
+        (edf_dir / f"{stem}-Hypnogram.edf").unlink()
+        for scorer in scorers:
+            (edf_dir / f"{scorer}-Hypnogram.edf").write_bytes(hyp)
+
+    def test_sleepedf_names_pair_on_the_scorer_letter(self, tmp_path):
+        edf_dir = tmp_path / "edf"
+        edf_dir.mkdir()
+        self.craft_sleepedf(edf_dir, "SC4001E0", ["SC4001EC"], seed=1)
+        self.craft_sleepedf(edf_dir, "ST7011J0", ["ST7011JP"], seed=2)
+        out = tmp_path / "cache"
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        assert [s["id"] for s in manifest["subjects"]] == ["SC4001E0", "ST7011J0"]
+        for entry in manifest["subjects"]:
+            assert entry["epoch_counts"] == {"W": 1, "N1": 0, "N2": 1, "N3": 0,
+                                             "REM": 0, "Total": 2}
+            assert len(load_epochset(out / f"{entry['id']}.sepc")) == 2
+
+    def test_two_scorer_hypnograms_fail_that_recording(self, tmp_path, capsys):
+        edf_dir = tmp_path / "edf"
+        edf_dir.mkdir()
+        self.craft_sleepedf(edf_dir, "SC4001E0", ["SC4001EC", "SC4001EH"], seed=1)
+        self.craft_sleepedf(edf_dir, "SC4002E0", ["SC4002EC"], seed=2)
+        out = tmp_path / "cache"
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["id"] for s in manifest["subjects"]] == ["SC4002E0"]
+        [failure] = manifest["failures"]
+        assert failure["source"] == "SC4001E0-PSG.edf"
+        assert "SC4001EC-Hypnogram.edf" in failure["error"]
+        assert "SC4001EH-Hypnogram.edf" in failure["error"]
+        assert "skipping SC4001E0-PSG.edf" in capsys.readouterr().err
+
     def test_unreadable_hypnogram_fails_that_recording(self, tmp_path, capsys):
         edf_dir = tmp_path / "edf"
         edf_dir.mkdir()

@@ -220,6 +220,38 @@ class TestFieldTable:
         assert (e.value.field, e.value.offset) == (fname, offset)
         assert "expected a number" in str(e.value)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "fname, offset, width",
+        [(f, o, w) for f, o, w, _ in header_cells()
+         if f.split("[")[0] in ("record_duration", "phys_min", "phys_max")],
+    )
+    def test_non_finite_float_cell_named_with_its_offset(self, fname, offset,
+                                                         width, text):
+        blob = two_signal_file()
+        with pytest.raises(ParseError) as e:
+            parse_edf(blob[:offset] + text.encode().ljust(width) + blob[offset + width:])
+        assert (e.value.field, e.value.offset) == (fname, offset)
+        assert "expected a finite number" in str(e.value)
+
+    @pytest.mark.parametrize("spec, kwargs, fname", [
+        ({"label": "EEG Fpz\u2013Cz"}, {}, "label"),
+        ({}, {"patient_id": "Zo\u00eb"}, "patient_id"),
+        ({"dig_min": None}, {}, "dig_min"),
+        ({"label": None}, {}, "label"),
+        ({"digital": None}, {}, "digital"),
+    ], ids=["non_ascii_label", "non_ascii_patient_id", "no_dig_min", "no_label",
+            "no_digital"])
+    def test_writer_names_the_field_of_a_bad_value(self, spec, kwargs, fname):
+        # a None in ``spec`` leaves that key out of the signal
+        sig = {"label": "EEG", "phys_min": -1, "phys_max": 1, "dig_min": -10,
+               "dig_max": 10, "samples_per_record": 2,
+               "digital": np.zeros(4, dtype=np.int16), **spec}
+        sig = {k: v for k, v in sig.items() if v is not None}
+        with pytest.raises(ParseError) as e:
+            write_edf([sig], **kwargs)
+        assert e.value.field == fname
+
     @pytest.mark.parametrize("spec, kwargs, fname", [
         ({}, {"patient_id": "p" * 81}, "patient_id"),
         ({"label": "L" * 17}, {}, "label"),

@@ -268,6 +268,52 @@ class TestCheckpoint:
             checkpoint_load(path)
         assert e.value.field == manifest["tensors"][0]["name"]
 
+    @pytest.mark.parametrize("fault", [
+        "tensor_renamed", "state_renamed", "state_shape", "nan_in_first_tensor",
+        "nan_in_last_running_var", "trailing_byte",
+    ])
+    def test_single_fault_names_what_broke(self, tmp_path, fault):
+        # one fault per file: each raises its own field and message
+        cfg = tiny_config(seed=14)
+        params = build_stager_params(cfg)
+        path = tmp_path / "model.sstg"
+        checkpoint_save(params, cfg, path)
+        tensor, state = next(iter(params.registry)), list(params.states)[-1]
+        channels = params.states[state].running_mean.shape[0]
+
+        def edit(key, index, field, value):
+            rewrite_manifest(path, lambda m: m[key][index].__setitem__(field, value))
+
+        def nan_at(offset):
+            blob = bytearray(path.read_bytes())
+            blob[offset : offset + 8] = np.float64(np.nan).tobytes()
+            path.write_bytes(bytes(blob))
+
+        if fault == "tensor_renamed":
+            edit("tensors", 0, "name", "renamed")
+            field, message = "tensors", "tensor list does not match the declared config"
+        elif fault == "state_renamed":
+            edit("state", -1, "name", "renamed")
+            field, message = "state", "state list does not match the declared config"
+        elif fault == "state_shape":
+            edit("state", -1, "shape", [channels + 1])
+            field = state
+            message = f"declared shape [{channels + 1}] != expected [{channels}]"
+        elif fault == "nan_in_first_tensor":
+            mlen = int(np.frombuffer(path.read_bytes()[8:16], dtype="<u8")[0])
+            nan_at(16 + mlen)
+            field, message = tensor, "non-finite values in payload"
+        elif fault == "nan_in_last_running_var":
+            nan_at(len(path.read_bytes()) - 8)
+            field, message = state, "non-finite values in payload"
+        else:
+            path.write_bytes(path.read_bytes() + b"\0")
+            field, message = "payload", "trailing bytes after payload"
+        with pytest.raises(CorruptCheckpoint) as e:
+            checkpoint_load(path)
+        assert e.value.field == field
+        assert str(e.value) == f"{message} (field: {field})"
+
     @pytest.mark.parametrize("edit, field", [
         (lambda m: m["tensors"].__setitem__(0, ["w", [1]]), "tensors"),
         (lambda m: m["tensors"][0].__setitem__("shape", 8), "tensors"),

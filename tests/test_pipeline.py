@@ -307,6 +307,24 @@ class TestCache:
             load_epochset(path)
         assert e.value.field == field
 
+    @pytest.mark.parametrize("fault, field, message", [
+        ("version", "version", "unsupported cache version 2"),
+        ("trailing_byte", "samples", "trailing bytes after samples"),
+    ])
+    def test_single_fault_names_what_broke(self, tmp_path, fault, field, message):
+        path = tmp_path / "s.sepc"
+        save_epochset(toy_epochset(4, l_epoch=60, rate=2.0), path)
+        blob = path.read_bytes()
+        if fault == "version":
+            blob = blob[:4] + np.uint32(2).tobytes() + blob[8:]
+        else:
+            blob += b"\0"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptCache) as e:
+            load_epochset(path)
+        assert e.value.field == field
+        assert str(e.value) == f"{message} (field: {field})"
+
     def test_subject_id_not_utf8(self, tmp_path):
         path = tmp_path / "s.sepc"
         save_epochset(toy_epochset(4, l_epoch=60, rate=2.0), path)
