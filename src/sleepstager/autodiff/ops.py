@@ -13,8 +13,9 @@ and epsilon (``BN_MOMENTUM``, ``BN_EPS``).
 Between forward and backward an op keeps only its inputs' gradient slots
 and the arrays its backward reads: conv1d its input and weight,
 batchnorm1d its input and per-channel ``mean``, ``ivar`` and ``gamma``,
-mul, matmul and channel_scale their operands, relu, sigmoid, tanh and
-log_softmax their own output, and the rest shapes or indices only. So an
+mul, matmul and channel_scale their operands, max_pool1d its input (the
+array its relu already keeps), relu, sigmoid, tanh and log_softmax their
+own output, and the rest shapes or indices only. So an
 op output that no backward reads, such as a batchnorm output under a
 relu, is freed with the forward pass's last reference to it. conv1d keeps
 no padded or unfolded copy of its input and batchnorm1d no normalized
@@ -403,14 +404,25 @@ def max_pool1d(x, k, stride):
     windows = np.lib.stride_tricks.as_strided(
         xc, shape=(n, c, l_out, k), strides=(sn, sc, sl * stride, sl)
     )
-    arg = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    # a running maximum over the window's k offsets: one elementwise pass
+    # each, where a reduction over the short strided axis is several times
+    # slower
+    y = windows[..., 0].copy()
+    for j in range(1, k):
+        np.maximum(y, windows[..., j], out=y)
     sx = x.slot
     out = Tensor._wrap(y, sx.requires_grad)
 
     def bwd(g):
         if not sx.requires_grad:
             return
+        # each window's first maximal offset, from the input, which the
+        # windows view and its relu keeps as its output
+        arg = np.zeros((n, c, l_out), dtype=np.intp)
+        best = windows[..., 0].copy()
+        for j in range(1, k):
+            np.copyto(arg, j, where=windows[..., j] > best)
+            np.maximum(best, windows[..., j], out=best)
         dx = np.zeros((n, c, l))
         ni, ci, ti = np.indices(arg.shape)
         np.add.at(dx, (ni, ci, ti * stride + arg), g)

@@ -21,6 +21,8 @@ Only the layers above the final conv maps are differentiated: each step's
 extractor runs with no tape open, and its maps become a fresh leaf under
 pooling, the Bi-LSTM and the head. A heatmap costs ``PATH_STEPS`` (16)
 extractor passes and as many backward sweeps, none through a conv layer.
+The passes run first, on one thread per core when they are large enough
+(``parallel``); the sweeps then run on the calling thread in step order.
 The parameters do not require grad during the sweeps, so no sweep computes
 a weight gradient; only the leaf's gradient feeds the map.
 """
@@ -35,6 +37,7 @@ from .autodiff import Tape, Tensor, backward, global_avg_pool, take_per_row
 from .blocks import feature_extractor_forward
 from .errors import InvalidInput, IoError
 from .model import classify, encode_epochs, window_epochs
+from .parallel import map_passes, pass_workers
 
 PATH_STEPS = 16
 
@@ -83,25 +86,31 @@ def gradcam(params, cfg, window):
     upward only. The last step, the unscaled window, runs first: it gives
     the predicted class and the activations that the path-averaged
     gradients weight. Every parameter's ``requires_grad`` is off during the
-    sweeps and restored afterwards, also when a sweep raises; no parameter
-    ``grad`` is written.
+    passes and sweeps and restored afterwards, also when a pass or a sweep
+    raises; no parameter ``grad`` is written.
     """
     epochs = window_epochs(np.asarray(window)[None], cfg)
     spans, mid = np.arange(cfg.window_size)[None], cfg.middle_index
+    steps = (PATH_STEPS, *range(1, PATH_STEPS))
+
+    def final_maps(k):
+        x = Tensor(epochs * (k / PATH_STEPS))
+        _, maps = feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
+        return maps.data
+
     flags = [(t, t.requires_grad) for t in params.registry.values()]
     grads = [None] * PATH_STEPS  # indexed by step, so they sum in step order
     try:
         for t, _ in flags:
             t.requires_grad = False
-        for k in (PATH_STEPS, *range(1, PATH_STEPS)):
-            x = Tensor(epochs * (k / PATH_STEPS))
-            _, maps = feature_extractor_forward(x, cfg.extractor, params.extractor, "eval")
-            leaf = Tensor(maps.data, requires_grad=True)
+        workers = pass_workers(cfg, cfg.window_size)
+        for k, maps in zip(steps, map_passes(final_maps, steps, workers)):
+            leaf = Tensor(maps, requires_grad=True)
             with Tape() as tape:
                 log_probs = classify(global_avg_pool(leaf), spans, params, cfg)
                 if k == PATH_STEPS:
                     predicted = int(np.argmax(log_probs.data[0]))
-                    acts = maps.data[mid]
+                    acts = maps[mid]
                 backward(take_per_row(log_probs, np.array([predicted])), tape)
             grads[k - 1] = leaf.grad[mid].copy()
     finally:

@@ -35,12 +35,14 @@ from .blocks import (
     feature_extractor_forward,
 )
 from .errors import ConfigError, CorruptCheckpoint, IoError, ShapeError
+from .parallel import map_passes, pass_workers
 from .recurrent import build_bilstm_stack, stack_forward
 
 CHECKPOINT_MAGIC = b"SSTG"
 CHECKPOINT_VERSION = 1
 # epochs per extractor call in eval: at paper scale a call of 32 peaks near
-# 230 MB and scores as fast as larger calls
+# 230 MB and scores as fast as larger calls. Calls that run at once on
+# worker threads hold at most this many epochs together.
 EVAL_BATCH = 32
 # manifest keys with one legal value: checkpoints still carry them, so the
 # file format is unchanged, but no config can set them
@@ -170,21 +172,32 @@ def encode_epochs(epochs, params, cfg):
     """Eval-mode extractor features ``[N, D]`` of epochs ``[N, L_epoch]``.
 
     Each epoch goes through the extractor once, in calls of at most
-    ``EVAL_BATCH`` epochs, which bounds the memory of the conv maps.
+    ``EVAL_BATCH`` epochs, which bounds the memory of the conv maps. Calls
+    large enough to gain run on one thread per core (``parallel``), each
+    of at most ``EVAL_BATCH // workers`` epochs.
     """
     epochs = np.asarray(epochs)
     if epochs.ndim != 2 or epochs.shape[1] != cfg.epoch_len:
         raise ShapeError(
             f"expected epochs [N, {cfg.epoch_len}], got {epochs.shape}"
         )
-    out = np.empty((len(epochs), cfg.extractor.feature_dim))
-    for start in range(0, len(epochs), EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, len(epochs))
+    n = len(epochs)
+    # decided on the size of one serial call; the parts that then run at
+    # once hold at most EVAL_BATCH epochs together, split evenly when fewer
+    workers = pass_workers(cfg, min(n, EVAL_BATCH))
+    size = max(1, min(EVAL_BATCH // workers, -(-n // workers)))
+
+    def encode(start):
         feats, _ = feature_extractor_forward(
-            Tensor(epochs[start:stop, None, :]), cfg.extractor, params.extractor,
-            "eval",
+            Tensor(epochs[start:start + size, None, :]), cfg.extractor,
+            params.extractor, "eval",
         )
-        out[start:stop] = feats.data
+        return feats.data
+
+    starts = range(0, n, size)
+    out = np.empty((n, cfg.extractor.feature_dim))
+    for start, feats in zip(starts, map_passes(encode, starts, workers)):
+        out[start:start + size] = feats
     return out
 
 
@@ -282,7 +295,7 @@ def checkpoint_load(path):
         mlen = int(np.frombuffer(_read_exact(f, 8, "manifest_len"), dtype="<u8")[0])
         try:
             manifest = json.loads(_read_exact(f, mlen, "manifest"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CorruptCheckpoint(f"manifest is not valid JSON: {e}",
                                     field="manifest") from e
         try:

@@ -267,6 +267,41 @@ class TestPooling:
             err = grad_check(lambda t: sum_all(max_pool1d(t, 3, 2)), [x2])
             assert err < 1e-6
 
+    @staticmethod
+    def kept_index_reference(x, g, k, stride):
+        """Max pooling as it kept its argmax between forward and backward."""
+        n, c, l = x.shape
+        l_out = (l - k) // stride + 1
+        windows = np.lib.stride_tricks.as_strided(
+            x, shape=(n, c, l_out, k), strides=(*x.strides[:2], x.strides[2] * stride,
+                                                x.strides[2]))
+        arg = windows.argmax(axis=-1)
+        y = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+        dx = np.zeros((n, c, l))
+        ni, ci, ti = np.indices(arg.shape)
+        np.add.at(dx, (ni, ci, ti * stride + arg), g)
+        return y, dx
+
+    @pytest.mark.parametrize("k,stride", [(2, 1), (3, 2), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_kept_index_reference(self, k, stride, ties):
+        # the backward recomputes the argmax from the input; values,
+        # gradients and the first-maximal-index tie rule keep their bits
+        rng = np.random.default_rng(k * 10 + stride)
+        x = rng.normal(size=(3, 4, 23))
+        if ties:
+            x = np.maximum(np.round(x), 0.0)  # relu output: runs of zeros
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = max_pool1d(xt, k, stride)
+            g = rng.normal(size=y.data.shape)
+            loss = sum_all(mul(y, Tensor(g)))
+        backward(loss, tape)
+        want_y, want_dx = self.kept_index_reference(np.ascontiguousarray(x), g, k,
+                                                    stride)
+        assert same_bits(y.data, want_y)
+        assert same_bits(xt.grad, want_dx)
+
 
 class TestBatchNorm:
     def test_already_normalized_passthrough(self):

@@ -541,6 +541,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("data error: "), err
         assert "field: tensors" in err[0]
 
+    def test_manifest_not_utf8_exits_3(self, synth_cache, tmp_path, capsys):
+        # a manifest length 5 too large runs into the payload's bytes
+        ckpt = untrained_checkpoint(tmp_path / "model.sstg", initialized=True)
+        blob = ckpt.read_bytes()
+        mlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        ckpt.write_bytes(blob[:8] + np.uint64(mlen + 5).tobytes() + blob[16:])
+        assert main(["eval", "--checkpoint", str(ckpt), "--cache-dir",
+                     str(synth_cache), "--out-dir", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "data error: manifest is not valid JSON: "), err
+        assert "field: manifest" in err[0]
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.01"])
     def test_bad_lr_exits_2(self, synth_cache, tmp_path, capsys, lr):
         assert main(["train", "--cache-dir", str(synth_cache), *TINY_MODEL_FLAGS,

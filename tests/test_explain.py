@@ -1,5 +1,7 @@
 """GradCAM formula, determinism, and artifact rendering."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,24 @@ def tiny_cfg(seed=0):
         sample_rate=8.0,
         seed=seed,
     ).validate()
+
+
+def wide_model():
+    """Untrained, at neutral running stats, with 9-epoch passes large enough
+    to run on worker threads (108K stem-map values)."""
+    cfg = StagerConfig(
+        window_size=9,
+        extractor=FeatureExtractorConfig.create(
+            "se_resnet_18", width_multiplier=0.125, reduction_ratio=4
+        ),
+        lstm_hidden=4,
+        lstm_depth=1,
+        sample_rate=100.0,
+    ).validate()
+    params = build_stager_params(cfg)
+    for state in params.states.values():
+        state.initialized = True
+    return cfg, params, synth_generate(1, 9, 100.0, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -174,37 +194,49 @@ class TestGradcam:
         assert calls == {"backward": PATH_STEPS, "extractor": PATH_STEPS}
         assert all(t.grad is None for t in params.registry.values())
 
-    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("fail", [None, "sweep", "pass"],
+                             ids=["returns", "raises", "pass_raises"])
     def test_parameters_come_back_as_found(self, trained, monkeypatch, fail):
-        # the sweeps run with every requires_grad off; gradcam restores the
-        # flags and writes no grad, also when its second sweep raises
-        cfg, params, data = trained
+        # the passes and sweeps run with every requires_grad off; gradcam
+        # restores the flags and writes no grad, also when its second sweep
+        # raises, or an extractor pass raises on a worker thread
+        cfg, params, data = wide_model() if fail == "pass" else trained
+        window = data[0].epochs[:cfg.window_size]
         tensors = list(params.registry.values())
         zero_grads(tensors)
         tensors[0].grad = kept = np.zeros_like(tensors[0].data)
         tensors[-1].requires_grad = False
         before = [(t.requires_grad, t.grad) for t in tensors]
-        real_backward = explain.backward
-        calls = []
+        real_backward, real_extractor = explain.backward, explain.feature_extractor_forward
+        calls, pass_threads = [], []
 
         def failing_backward(loss, tape):
             calls.append(1)
-            if fail and len(calls) == 2:
+            if fail == "sweep" and len(calls) == 2:
                 raise RuntimeError("sweep failed")
             real_backward(loss, tape)
 
+        def failing_extractor(*args):
+            pass_threads.append(threading.get_ident())
+            if fail == "pass" and len(pass_threads) == 2:
+                raise RuntimeError("pass failed")
+            return real_extractor(*args)
+
         monkeypatch.setattr(explain, "backward", failing_backward)
+        monkeypatch.setattr(explain, "feature_extractor_forward", failing_extractor)
         try:
             if fail:
-                with pytest.raises(RuntimeError, match="sweep failed"):
-                    gradcam(params, cfg, data[0].epochs[:3])
+                with pytest.raises(RuntimeError, match=f"{fail} failed"):
+                    gradcam(params, cfg, window)
             else:
-                gradcam(params, cfg, data[0].epochs[:3])
+                gradcam(params, cfg, window)
             after = [(t.requires_grad, t.grad) for t in tensors]
         finally:
             tensors[-1].requires_grad = True
             zero_grads(tensors)
-        assert len(calls) == (2 if fail else PATH_STEPS)
+        assert len(calls) == {None: PATH_STEPS, "sweep": 2, "pass": 0}[fail]
+        if fail == "pass" and explain.pass_workers(cfg, cfg.window_size) > 1:
+            assert threading.get_ident() not in pass_threads
         assert [flag for flag, _ in after] == [flag for flag, _ in before]
         assert all(g is g0 for (_, g), (_, g0) in zip(after, before))
         assert after[0][1] is kept and not kept.any()

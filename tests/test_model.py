@@ -314,6 +314,20 @@ class TestCheckpoint:
         assert e.value.field == field
         assert str(e.value) == f"{message} (field: {field})"
 
+    def test_manifest_not_utf8(self, tmp_path):
+        # a manifest length 5 too large reads payload bytes, which are not UTF-8
+        cfg = tiny_config(seed=14)
+        path = tmp_path / "model.sstg"
+        checkpoint_save(build_stager_params(cfg), cfg, path)
+        blob = path.read_bytes()
+        mlen = int(np.frombuffer(blob[8:16], dtype="<u8")[0])
+        path.write_bytes(blob[:8] + np.uint64(mlen + 5).tobytes() + blob[16:])
+        with pytest.raises(CorruptCheckpoint) as e:
+            checkpoint_load(path)
+        assert e.value.field == "manifest"
+        assert str(e.value).startswith("manifest is not valid JSON: ")
+        assert isinstance(e.value.__cause__, UnicodeDecodeError)
+
     @pytest.mark.parametrize("edit, field", [
         (lambda m: m["tensors"].__setitem__(0, ["w", [1]]), "tensors"),
         (lambda m: m["tensors"][0].__setitem__("shape", 8), "tensors"),
